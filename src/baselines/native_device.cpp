@@ -32,8 +32,9 @@ struct NativeDevice::WireHeader {
 
 NativeDevice::NativeDevice(NativeProfile profile, sim::Fabric& fabric,
                            const sim::ClusterSpec& cluster,
-                           core::RankDirectory& directory)
-    : profile_(std::move(profile)), directory_(directory) {
+                           core::RankDirectory& directory,
+                           marcel::TaskPool& tasks)
+    : profile_(std::move(profile)), directory_(directory), tasks_(tasks) {
   driver_ = net::make_driver(profile_.protocol);
 
   const sim::NetworkSpec* network = nullptr;
@@ -96,6 +97,11 @@ void NativeDevice::transmit(net::Endpoint& endpoint, node_id_t dst,
     block.zero_copy = zero_copy;
     blocks.push_back(block);
   }
+  // The receiver reads a message's data block right behind its control
+  // frame, so concurrent senders on one node (rank threads, ack and data
+  // tasks) must not interleave frames; Madeleine's connection lock gives
+  // ch_mad the same guarantee.
+  std::lock_guard<std::mutex> lock(state_of(endpoint.node().id()).send_mutex);
   endpoint.send_message(dst, control.span(), blocks);
 }
 
@@ -226,13 +232,11 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
                   WireHeader ack = header;
                   ack.kind = WireKind::kRndvAck;
                   ack.sync_address = sync_address;
-                  sim::Node* ack_node = state_ptr->node;
-                  const usec_t birth = ack_node->clock().advance(
-                      profile_.rndv_handshake_us * 0.5);
-                  std::thread([this, ack_node, birth, ep, peer, ack] {
-                    ack_node->clock().bind_lane(birth);
-                    transmit(*ep, peer, ack, {}, false);
-                  }).detach();
+                  marcel::spawn(tasks_, *state_ptr->node,
+                                profile_.rndv_handshake_us * 0.5,
+                                [this, ep, peer, ack] {
+                                  transmit(*ep, peer, ack, {}, false);
+                                });
                 });
         break;
       }
@@ -245,18 +249,15 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
           MADMPI_CHECK(it != state.pending_sends.end());
           pending = it->second;
         }
-        const usec_t birth =
-            node.clock().advance(profile_.rndv_handshake_us * 0.5);
-        sim::Node* data_node = &node;
         const node_id_t peer = incoming->source();
         net::Endpoint* ep = &endpoint;
         WireHeader data = header;
         data.kind = WireKind::kRndvData;
-        std::thread([this, data_node, birth, ep, peer, data, pending] {
-          data_node->clock().bind_lane(birth);
+        marcel::spawn(tasks_, node, profile_.rndv_handshake_us * 0.5,
+                      [this, ep, peer, data, pending] {
           transmit(*ep, peer, data, pending->data, profile_.rndv_zero_copy);
           pending->done->signal();
-        }).detach();
+        });
         break;
       }
 

@@ -19,6 +19,7 @@
 #include "core/directory.hpp"
 #include "core/managed_device.hpp"
 #include "marcel/semaphore.hpp"
+#include "marcel/task_pool.hpp"
 #include "net/driver.hpp"
 #include "sim/topology.hpp"
 
@@ -71,10 +72,11 @@ class NativeDevice final : public core::ManagedDevice {
  public:
   /// Builds the device's private transport over the first network of
   /// `cluster` matching the profile's protocol, using a dedicated adapter
-  /// so its NIC model can differ from the default one.
+  /// so its NIC model can differ from the default one. Rendezvous acks
+  /// and data pushes run as helper tasks on `tasks`.
   NativeDevice(NativeProfile profile, sim::Fabric& fabric,
                const sim::ClusterSpec& cluster,
-               core::RankDirectory& directory);
+               core::RankDirectory& directory, marcel::TaskPool& tasks);
   ~NativeDevice() override;
 
   const char* name() const override { return profile_.name.c_str(); }
@@ -107,6 +109,7 @@ class NativeDevice final : public core::ManagedDevice {
     sim::Node* node = nullptr;
     std::thread poller;
     std::mutex mutex;
+    std::mutex send_mutex;  // one outbound message at a time
     std::uint64_t next_handle = 1;
     std::map<std::uint64_t, PendingSend*> pending_sends;
     std::map<std::uint64_t, Rhandle> rhandles;
@@ -120,6 +123,7 @@ class NativeDevice final : public core::ManagedDevice {
 
   NativeProfile profile_;
   core::RankDirectory& directory_;
+  marcel::TaskPool& tasks_;
   std::unique_ptr<net::Driver> driver_;
   std::unique_ptr<net::ChannelTransport> transport_;
   std::map<node_id_t, std::unique_ptr<NodeState>> states_;

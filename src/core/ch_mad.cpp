@@ -4,26 +4,21 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <thread>
 
 #include "common/datapath_stats.hpp"
 #include "common/log.hpp"
 #include "core/switchpoint.hpp"
 #include "marcel/engine.hpp"
-#include "marcel/thread.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/sched.hpp"
 #include "sim/trace.hpp"
 
 namespace madmpi::core {
 
-ChMadDevice::ChMadDevice(RankDirectory& directory,
-                         std::vector<mad::Channel*> channels)
-    : ChMadDevice(directory, std::move(channels), Config{}) {}
-
-ChMadDevice::ChMadDevice(RankDirectory& directory,
+ChMadDevice::ChMadDevice(RankDirectory& directory, marcel::TaskPool& tasks,
                          std::vector<mad::Channel*> channels, Config config)
     : directory_(directory),
+      tasks_(tasks),
       router_(std::move(channels)),
       forward_channels_router_(std::move(config.forward_channels)) {
   switch_point_ = config.switch_point_override.has_value()
@@ -131,13 +126,10 @@ void ChMadDevice::shutdown() {
   for (auto& [node_id, state] : states_) {
     state->poll_server->begin_drain();
   }
-  // Phase 0: let in-flight credit-return threads finish. Application
-  // traffic has quiesced, so no new ones can appear; waiting here keeps a
-  // straggling MAD_CREDIT_PKT from racing channel close below.
-  {
-    std::unique_lock<std::mutex> lock(credit_threads_mutex_);
-    credit_threads_cv_.wait(lock, [this] { return credit_threads_ == 0; });
-  }
+  // Phase 0: let in-flight helper tasks finish. Application traffic has
+  // quiesced, so no new ones can appear; waiting here keeps a straggling
+  // MAD_CREDIT_PKT from racing channel close below.
+  tasks_.wait_idle();
   // Phase 1: every node announces termination to every direct peer, on
   // direct channels plainly and on forwarding channels wrapped in a
   // final-hop routing header.
@@ -426,12 +418,8 @@ void ChMadDevice::finish_pending_send(NodeState& state, PendingSend* pending,
     std::lock_guard<std::mutex> lock(state.mutex);
     state.pending_sends.erase(pending->handle);
   }
-  mpi::MpiStatus status;
-  status.source = pending->header.envelope.dst;  // send-side: peer and tag
-  status.tag = pending->header.envelope.tag;
-  status.bytes = pending->header.envelope.bytes;
-  status.error = pending->result.code();
-  pending->completion->complete(status);
+  pending->completion->complete(
+      mpi::send_status(pending->header.envelope, pending->result.code()));
   delete pending;
 }
 
@@ -592,7 +580,22 @@ void ChMadDevice::credit_consumed(node_id_t me, node_id_t origin,
     batch = owed;
     owed = 0;
   }
-  spawn_credit_thread(state, origin, batch);
+  // Credit returns follow the same no-sends-from-pollers rule as
+  // rendezvous acks. shutdown() drains the pool before closing channels.
+  marcel::spawn(tasks_, *state.node, marcel::ThreadCosts::kCreate,
+                [this, &state, me, origin, batch] {
+    PacketHeader header;
+    header.type = PacketType::kCredit;
+    header.credit_bytes = batch;
+    header.credit_origin = me;
+    credit_packets_.fetch_add(1, std::memory_order_relaxed);
+    if (!send_packet(me, origin, header, {}).is_ok()) {
+      // The peer is gone; put the debt back so credit conservation holds
+      // for observers even though nobody will collect it.
+      std::lock_guard<std::mutex> lock(state.mutex);
+      state.pending_returns[origin] += batch;
+    }
+  });
 }
 
 void ChMadDevice::apply_credit(NodeState& state,
@@ -781,22 +784,17 @@ std::size_t ChMadDevice::watchdog_sweep(const RouteDead& route_dead,
   return canceled;
 }
 
-void ChMadDevice::spawn_reply_thread(NodeState& state, node_id_t dst_node,
-                                     PacketHeader header) {
+void ChMadDevice::spawn_reply(NodeState& state, node_id_t dst_node,
+                              PacketHeader header) {
   // Polling threads must not send (deadlock avoidance, §4.2.3): the
-  // OK_TO_SEND goes out on a temporary thread. Detached: after its single
-  // send it touches nothing.
+  // OK_TO_SEND goes out on a helper task.
   const node_id_t src_node = state.node->id();
-  sim::Node* node = state.node;
-  NodeState* state_ptr = &state;
-  const usec_t birth = node->clock().advance(marcel::ThreadCosts::kCreate);
-  std::thread([this, node, birth, src_node, dst_node, header,
-               state_ptr]() mutable {
-    node->clock().bind_lane(birth);
+  marcel::spawn(tasks_, *state.node, marcel::ThreadCosts::kCreate,
+                [this, &state, src_node, dst_node, header]() mutable {
     // Piggyback any flow-control credits owed to the ack's destination:
     // the debt a receiver accumulates towards its eager senders rides on
     // rendezvous acks for free instead of costing its own packet.
-    const std::size_t credits = take_pending_returns(*state_ptr, dst_node);
+    const std::size_t credits = take_pending_returns(state, dst_node);
     if (credits != 0) {
       header.credit_bytes = credits;
       header.credit_origin = src_node;
@@ -808,23 +806,20 @@ void ChMadDevice::spawn_reply_thread(NodeState& state, node_id_t dst_node,
     // *no* route back at all.
     Status status = send_packet(src_node, dst_node, header, {});
     if (!status.is_ok() && credits != 0) {
-      std::lock_guard<std::mutex> lock(state_ptr->mutex);
-      state_ptr->pending_returns[dst_node] += credits;
+      std::lock_guard<std::mutex> lock(state.mutex);
+      state.pending_returns[dst_node] += credits;
     }
-  }).detach();
+  });
 }
 
-void ChMadDevice::spawn_rma_reply_thread(NodeState& state, node_id_t dst_node,
-                                         PacketHeader header, ChunkRef body) {
+void ChMadDevice::spawn_rma_reply(NodeState& state, node_id_t dst_node,
+                                  PacketHeader header, ChunkRef body) {
   // One-sided replies (lock grants, fence acks, get replies) obey the
-  // same pollers-never-send rule. The body chunk travels into the thread
-  // by refcount; it dies with the lambda after the send.
+  // same pollers-never-send rule. The body chunk travels into the task
+  // by refcount; it dies with the task after the send.
   const node_id_t src_node = state.node->id();
-  sim::Node* node = state.node;
-  const usec_t birth = node->clock().advance(marcel::ThreadCosts::kCreate);
-  std::thread([this, node, birth, src_node, dst_node, header,
-               body = std::move(body)] {
-    node->clock().bind_lane(birth);
+  marcel::spawn(tasks_, *state.node, marcel::ThreadCosts::kCreate,
+                [this, src_node, dst_node, header, body = std::move(body)] {
     // Failure is survivable: the origin's watchdog/fence error path owns
     // recovery, the same as a lost rendezvous ack.
     Status status =
@@ -833,62 +828,7 @@ void ChMadDevice::spawn_rma_reply_thread(NodeState& state, node_id_t dst_node,
       MADMPI_LOG_WARN("ch_mad", "one-sided reply to node %d failed: %s",
                       static_cast<int>(dst_node), status.message().c_str());
     }
-  }).detach();
-}
-
-void ChMadDevice::spawn_credit_thread(NodeState& state, node_id_t dst_node,
-                                      std::size_t credit_bytes) {
-  // Credit returns follow the same no-sends-from-pollers rule as
-  // rendezvous acks. Tracked (not fire-and-forget): shutdown() waits for
-  // stragglers before closing channels.
-  const node_id_t src_node = state.node->id();
-  sim::Node* node = state.node;
-  const usec_t birth = node->clock().advance(marcel::ThreadCosts::kCreate);
-  {
-    std::lock_guard<std::mutex> lock(credit_threads_mutex_);
-    ++credit_threads_;
-  }
-  std::thread([this, node, birth, src_node, dst_node, credit_bytes] {
-    node->clock().bind_lane(birth);
-    PacketHeader header;
-    header.type = PacketType::kCredit;
-    header.credit_bytes = credit_bytes;
-    header.credit_origin = src_node;
-    credit_packets_.fetch_add(1, std::memory_order_relaxed);
-    Status status = send_packet(src_node, dst_node, header, {});
-    if (!status.is_ok()) {
-      // The peer is gone; put the debt back so credit conservation holds
-      // for observers even though nobody will collect it.
-      NodeState& origin_state = state_of(src_node);
-      std::lock_guard<std::mutex> lock(origin_state.mutex);
-      origin_state.pending_returns[dst_node] += credit_bytes;
-    }
-    {
-      std::lock_guard<std::mutex> lock(credit_threads_mutex_);
-      --credit_threads_;
-      credit_threads_cv_.notify_all();
-    }
-  }).detach();
-}
-
-void ChMadDevice::spawn_data_thread(NodeState& state, node_id_t dst_node,
-                                    PendingSend& pending,
-                                    std::uint64_t sync_address) {
-  const node_id_t src_node = state.node->id();
-  sim::Node* node = state.node;
-  const usec_t birth = node->clock().advance(marcel::ThreadCosts::kCreate);
-  std::thread([this, node, birth, src_node, dst_node, &pending,
-               sync_address] {
-    node->clock().bind_lane(birth);
-    PacketHeader header = pending.header;
-    header.type = PacketType::kRndvData;
-    header.sync_address = sync_address;
-    pending.result = send_packet(src_node, dst_node, header, pending.data);
-    // Unblocks a parked sender (which then destroys `pending`) or, for an
-    // asynchronous entry, completes its request and frees it.
-    finish_pending_send(state_of(src_node), &pending,
-                        /*still_registered=*/true);
-  }).detach();
+  });
 }
 
 void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
@@ -993,7 +933,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
                 PacketHeader ack = header;
                 ack.type = PacketType::kRndvOkToSend;
                 ack.sync_address = sync_address;
-                spawn_reply_thread(*state_ptr, origin_node, ack);
+                spawn_reply(*state_ptr, origin_node, ack);
               });
       return;
     }
@@ -1016,10 +956,20 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
         pending = it->second;
         pending->phase = PendingSend::Phase::kPushing;
       }
-      const node_id_t receiver_node =
-          directory_.node_of(header.dst_global).id();
-      spawn_data_thread(state, receiver_node, *pending,
-                        header.sync_address);
+      // The data push leaves from a helper task, like the ack.
+      const node_id_t me = state.node->id();
+      const node_id_t receiver = directory_.node_of(header.dst_global).id();
+      marcel::spawn(tasks_, *state.node, marcel::ThreadCosts::kCreate,
+                    [this, &state, me, receiver, pending,
+                     sync_address = header.sync_address] {
+        PacketHeader data = pending->header;
+        data.type = PacketType::kRndvData;
+        data.sync_address = sync_address;
+        pending->result = send_packet(me, receiver, data, pending->data);
+        // Unblocks a parked sender (which then destroys `pending`) or, for
+        // an asynchronous entry, completes its request and frees it.
+        finish_pending_send(state, pending, /*still_registered=*/true);
+      });
       return;
     }
 
@@ -1276,7 +1226,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       }
       const node_id_t origin_node =
           directory_.node_of(header.src_global).id();
-      spawn_rma_reply_thread(state, origin_node, reply, std::move(body));
+      spawn_rma_reply(state, origin_node, reply, std::move(body));
       return;
     }
 
@@ -1342,7 +1292,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
           directory_.node_of(header.src_global).id();
       NodeState* state_ptr = &state;
       auto fire = [this, state_ptr, origin_node, grant] {
-        spawn_rma_reply_thread(*state_ptr, origin_node, grant, ChunkRef());
+        spawn_rma_reply(*state_ptr, origin_node, grant, ChunkRef());
       };
       bool now = false;
       {
@@ -1376,7 +1326,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
           directory_.node_of(header.src_global).id();
       NodeState* state_ptr = &state;
       auto fire = [this, state_ptr, origin_node, ack] {
-        spawn_rma_reply_thread(*state_ptr, origin_node, ack, ChunkRef());
+        spawn_rma_reply(*state_ptr, origin_node, ack, ChunkRef());
       };
       const bool is_unlock = header.type == PacketType::kRmaUnlock;
       std::vector<std::function<void()>> ready;

@@ -14,7 +14,7 @@
 //               rhandle semaphore (here: the request's completion).
 //
 // Polling threads never send (deadlock avoidance, §4.2.3): rendezvous
-// replies and data pushes run on temporary threads.
+// replies and data pushes run as helper tasks on the session's TaskPool.
 #pragma once
 
 #include <atomic>
@@ -34,6 +34,7 @@
 #include "mad/madeleine.hpp"
 #include "marcel/poll_server.hpp"
 #include "marcel/semaphore.hpp"
+#include "marcel/task_pool.hpp"
 #include "mpi/adi.hpp"
 
 namespace madmpi::core {
@@ -74,12 +75,9 @@ class ChMadDevice final : public ManagedDevice {
     std::size_t rma_put_limit = 0;
   };
 
-  // Two overloads rather than `Config config = {}`: the Config default
-  // member initializers are not parsed until the enclosing class is
-  // complete, so a braced default argument cannot see them here.
-  ChMadDevice(RankDirectory& directory, std::vector<mad::Channel*> channels);
-  ChMadDevice(RankDirectory& directory, std::vector<mad::Channel*> channels,
-              Config config);
+  /// Helper tasks (replies, data pushes, credit returns) run on `tasks`.
+  ChMadDevice(RankDirectory& directory, marcel::TaskPool& tasks,
+              std::vector<mad::Channel*> channels, Config config);
   ~ChMadDevice() override;
 
   // --- mpi::Device ----------------------------------------------------
@@ -266,14 +264,12 @@ class ChMadDevice final : public ManagedDevice {
   void relay(node_id_t me, mad::ForwardHeader fwd,
              mad::Unpacking& incoming);
 
-  void spawn_reply_thread(NodeState& state, node_id_t dst_node,
-                          PacketHeader header);
+  void spawn_reply(NodeState& state, node_id_t dst_node,
+                   PacketHeader header);
   /// Same no-sends-from-pollers rule for one-sided replies; `body` (a
   /// get-reply's window bytes) rides along by refcount, not by copy.
-  void spawn_rma_reply_thread(NodeState& state, node_id_t dst_node,
-                              PacketHeader header, ChunkRef body);
-  void spawn_data_thread(NodeState& state, node_id_t dst_node,
-                         PendingSend& pending, std::uint64_t sync_address);
+  void spawn_rma_reply(NodeState& state, node_id_t dst_node,
+                       PacketHeader header, ChunkRef body);
   /// Single completion discipline for a finished rendezvous send:
   /// parked (blocking) entries are unblocked through their semaphore;
   /// asynchronous entries complete their RequestState and are freed.
@@ -282,8 +278,6 @@ class ChMadDevice final : public ManagedDevice {
   /// cancel/watchdog paths pass false, having erased it already.
   void finish_pending_send(NodeState& state, PendingSend* pending,
                            bool still_registered);
-  void spawn_credit_thread(NodeState& state, node_id_t dst_node,
-                           std::size_t credit_bytes);
 
   /// Credit bookkeeping. `account_of` lazily opens an account at the full
   /// window; `credit_consumed` runs when the destination rank drains an
@@ -305,6 +299,7 @@ class ChMadDevice final : public ManagedDevice {
   static constexpr usec_t kDispatchUs = 1.0;
 
   RankDirectory& directory_;
+  marcel::TaskPool& tasks_;
   ChannelRouter router_;
   ChannelRouter forward_channels_router_;
   std::optional<ForwardRouter> forward_router_;
@@ -315,13 +310,6 @@ class ChMadDevice final : public ManagedDevice {
   std::size_t rma_put_limit_ = 0;  // 0 = unlimited
   std::map<node_id_t, std::unique_ptr<NodeState>> states_;
   bool started_ = false;
-
-  /// Detached credit-return threads in flight. shutdown() waits for them
-  /// before broadcasting termination so a late MAD_CREDIT_PKT never races
-  /// channel close.
-  std::mutex credit_threads_mutex_;
-  std::condition_variable credit_threads_cv_;
-  int credit_threads_ = 0;
 
   std::atomic<std::uint64_t> eager_sent_{0};
   std::atomic<std::uint64_t> rendezvous_sent_{0};

@@ -65,7 +65,7 @@ Session::Session(Options options) {
   }
 
   ch_self_ = std::make_unique<ChSelfDevice>(directory_);
-  smp_plug_ = std::make_unique<SmpPlugDevice>(directory_);
+  smp_plug_ = std::make_unique<SmpPlugDevice>(directory_, tasks_);
 
   forwarding_enabled_ = options.enable_forwarding;
   if (options.internode_factory) {
@@ -95,7 +95,7 @@ Session::Session(Options options) {
       }
     }
     internode_ = std::make_unique<ChMadDevice>(
-        directory_, madeleine_->open_default_channels(), config);
+        directory_, tasks_, madeleine_->open_default_channels(), config);
   }
   if (internode_) internode_->start();
 

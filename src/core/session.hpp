@@ -93,6 +93,7 @@ class Session final : public mpi::Runtime {
     return directory_.context_of(global);
   }
   mpi::Device& device_for(rank_t src, rank_t dst) override;
+  marcel::TaskPool& tasks() override { return tasks_; }
   int derive_context_id(int parent_context, std::int64_t key) override;
   /// Failure detector for the FT collectives: directional route health
   /// between the hosting nodes (same-node peers share memory and never
@@ -202,6 +203,10 @@ class Session final : public mpi::Runtime {
   bool coll_tuned_ = false;
 
   bool finalized_ = false;
+
+  // Declared last so it is destroyed first: its destructor waits for the
+  // helper tasks, which use the devices, channels and nodes above.
+  marcel::TaskPool tasks_;
 };
 
 }  // namespace madmpi::core

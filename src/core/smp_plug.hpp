@@ -8,6 +8,7 @@
 
 #include "core/directory.hpp"
 #include "marcel/semaphore.hpp"
+#include "marcel/task_pool.hpp"
 #include "mpi/adi.hpp"
 
 namespace madmpi::core {
@@ -20,7 +21,7 @@ namespace madmpi::core {
 /// needed because both parties share the node.
 class SmpPlugDevice final : public mpi::Device {
  public:
-  explicit SmpPlugDevice(RankDirectory& directory);
+  SmpPlugDevice(RankDirectory& directory, marcel::TaskPool& tasks);
 
   const char* name() const override { return "smp_plug"; }
 
@@ -46,6 +47,7 @@ class SmpPlugDevice final : public mpi::Device {
 
  private:
   RankDirectory& directory_;
+  marcel::TaskPool& tasks_;
 };
 
 }  // namespace madmpi::core

@@ -9,7 +9,7 @@
 
 #include <atomic>
 #include <functional>
-#include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/datapath_stats.hpp"
@@ -41,13 +41,16 @@ class PollServer {
           sched->poll_frequency_jitter_us(node_.id(), channel, poll_cost_us);
     }
     node_.register_poller(channel, poll_cost_us);
-    threads_.push_back(std::make_unique<Thread>(
-        node_, "poll-" + std::to_string(channel),
-        [this, channel, iterate = std::move(iterate)] {
-          while (iterate()) {
-          }
-          node_.unregister_poller(channel);
-        }));
+    // The poller's causal birth is the creator's lane after the Marcel
+    // creation cost.
+    const usec_t birth = node_.clock().advance(ThreadCosts::kCreate);
+    threads_.emplace_back([this, birth, channel,
+                           iterate = std::move(iterate)] {
+      node_.clock().bind_lane(birth);
+      while (iterate()) {
+      }
+      node_.unregister_poller(channel);
+    });
   }
 
   /// Charge the virtual cost of waking up to handle one message on
@@ -87,13 +90,13 @@ class PollServer {
   /// Join every polling thread. The sources must have been closed first so
   /// the iterate callbacks observe shutdown and return false.
   void join() {
-    for (auto& thread : threads_) thread->join();
+    for (std::thread& thread : threads_) thread.join();
     threads_.clear();
   }
 
  private:
   sim::Node& node_;
-  std::vector<std::unique_ptr<Thread>> threads_;
+  std::vector<std::thread> threads_;
   std::atomic<bool> draining_{false};
 };
 

@@ -3,18 +3,14 @@
 // The paper relies on the Marcel user-level thread library for cheap thread
 // creation (one temporary thread per MPI_Isend, per rendezvous reply), for
 // blocking synchronization between polling threads and the MPI control
-// thread, and for factorized network polling. Here threads are real
-// std::threads; Marcel's *cost profile* (fast create/wake/yield) is charged
-// to the hosting node's virtual clock.
+// thread, and for factorized network polling. Here the long-lived threads
+// (pollers, marcel/poll_server.hpp) are std::threads; the temporary ones
+// are helper tasks on a reused worker pool (marcel/task_pool.hpp), so no
+// OS thread is started per message. Either way the hosting node's virtual
+// clock is charged Marcel's *cost profile* (fast create/wake/yield).
 #pragma once
 
-#include <functional>
-#include <string>
-#include <thread>
-#include <utility>
-
 #include "common/types.hpp"
-#include "sim/node.hpp"
 
 namespace madmpi::marcel {
 
@@ -25,45 +21,6 @@ struct ThreadCosts {
   static constexpr usec_t kWake = 2.5;       // unblock + schedule a thread
   static constexpr usec_t kYield = 0.5;
   static constexpr usec_t kSemSignal = 0.5;  // semaphore V operation
-};
-
-/// A joinable thread bound to a simulated node. Creation charges the
-/// Marcel thread-create cost to the node's clock.
-class Thread {
- public:
-  Thread() = default;
-
-  template <typename Fn>
-  Thread(sim::Node& node, std::string name, Fn&& fn) : name_(std::move(name)) {
-    // The new thread's causal birth time is the creator's lane after the
-    // Marcel creation cost; bind it before running the body so the
-    // thread's virtual time starts where its creator left off.
-    const usec_t birth = node.clock().advance(ThreadCosts::kCreate);
-    thread_ = std::thread([&node, birth, fn = std::forward<Fn>(fn)]() mutable {
-      node.clock().bind_lane(birth);
-      fn();
-    });
-  }
-
-  Thread(Thread&&) = default;
-  Thread& operator=(Thread&&) = default;
-  Thread(const Thread&) = delete;
-  Thread& operator=(const Thread&) = delete;
-
-  ~Thread() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  void join() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  bool joinable() const { return thread_.joinable(); }
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  std::thread thread_;
 };
 
 }  // namespace madmpi::marcel

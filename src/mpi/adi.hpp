@@ -59,15 +59,15 @@ class Device {
 
   /// Nonblocking rendezvous send. The device injects the rendezvous
   /// REQUEST on the calling thread — preserving the per-source frame
-  /// order the matching layer's FIFO rule rests on (a detached sender
-  /// thread could otherwise inject its request after a later eager frame
+  /// order the matching layer's FIFO rule rests on (a helper-task sender
+  /// could otherwise inject its request after a later eager frame
   /// from the same rank, and the receiver would match them in arrival
   /// order) — then completes `state` from its own progress machinery once
   /// the data push finishes. `packed` must stay valid until `state`
   /// completes; `owned`, when non-empty, is the staging buffer backing
   /// `packed` and transfers ownership to the device. Returns false when
   /// the device has no asynchronous rendezvous — the generic layer then
-  /// falls back to parking a blocking send on a temporary thread.
+  /// falls back to parking a blocking send on a helper task.
   virtual bool isend_rendezvous(rank_t src, rank_t dst, const Envelope& env,
                                 byte_span packed,
                                 std::vector<std::byte> owned,

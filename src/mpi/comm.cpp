@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
-#include <thread>
 
 #include "common/log.hpp"
 #include "marcel/engine.hpp"
@@ -256,15 +255,10 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
     ++pool->pending;
   }
 
-  // Park a copy in the "attached buffer" and deliver from a detached
-  // thread; the caller returns immediately.
+  // Park a copy in the "attached buffer" and deliver from a helper task;
+  // the caller returns immediately.
   auto parked =
       std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
-  sim::Node& node = my_node();
-  const usec_t birth =
-      node.clock().advance(marcel::ThreadCosts::kCreate +
-                           static_cast<double>(view.size()) *
-                               sim::kHostCopyUsPerByte);
   const Envelope env = make_envelope(dest, tag, view.size(), false);
   Device& device = device_to(dest);
   const rank_t src_global = global_rank_of(rank_);
@@ -274,9 +268,11 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
   const TransferMode mode =
       admit_or_demote(device, dst_global, env, false, /*may_block=*/false);
   Comm self = *this;
-  std::thread([&node, birth, &device, src_global, dst_global, env, parked,
-               pool, needed, mode, self]() mutable {
-    node.clock().bind_lane(birth);
+  marcel::spawn(shared_->runtime->tasks(), my_node(),
+                marcel::ThreadCosts::kCreate +
+                    static_cast<double>(view.size()) * sim::kHostCopyUsPerByte,
+                [&device, src_global, dst_global, env, parked, pool, needed,
+                 mode, self]() mutable {
     // A buffered send has no request to carry the error; log and drop, as
     // real implementations do for undeliverable bsends.
     const Status status =
@@ -294,7 +290,7 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
       pool->drained.notify_all();
     }
     marcel::engine_notify();
-  }).detach();
+  });
 }
 
 Request Comm::irecv(void* buf, int count, const Datatype& type,
@@ -349,43 +345,49 @@ MpiStatus Comm::recv(void* buf, int count, const Datatype& type,
 
 namespace {
 
-/// Temporary-thread send used by the non-blocking rendezvous path: the
-/// paper dedicates one Marcel thread per MPI_Isend (§4.2.3). For user-facing
-/// sends the payload is staged so the caller's buffer is free immediately
-/// (matching how the ADI keeps a reference otherwise), charged as a host
+/// Start a nonblocking rendezvous send. User-facing sends stage the
+/// payload so the caller's buffer is free on return, charged as a host
 /// copy. Callers that guarantee the buffer outlives the request — the
 /// nonblocking-collective schedules pin theirs until every tracked
-/// sub-operation completes — pass stage=false and lend the buffer to the
-/// rendezvous thread directly, skipping the copy and its charge (a tree
+/// sub-operation completes — pass stage=false and lend it instead (a tree
 /// node forwarding 64 KiB to four children would otherwise serialize four
 /// staging copies on its lane before the last child's data departs).
-void spawn_rendezvous_send(sim::Node& node, Device& device, rank_t src,
-                           rank_t dst, Envelope env, byte_span packed,
-                           std::shared_ptr<RequestState> state,
-                           bool stage = true) {
-  std::shared_ptr<std::vector<std::byte>> payload;
+/// The device's asynchronous path injects the REQUEST on this thread,
+/// keeping it ordered behind any eager frames this rank already sent (MPI
+/// non-overtaking). A device without one gets a helper task running a
+/// blocking send, the paper's one Marcel thread per MPI_Isend (§4.2.3),
+/// which stages and charges its own copy.
+void start_rendezvous(Runtime& runtime, Device& device, rank_t src,
+                      rank_t dst, const Envelope& env, byte_span packed,
+                      std::shared_ptr<RequestState> state, bool stage) {
+  sim::Node& node = runtime.node_of(src);
+  const usec_t copy_us =
+      static_cast<double>(packed.size()) * sim::kHostCopyUsPerByte;
+  std::vector<std::byte> owned;
   byte_span wire = packed;
+  if (stage) {
+    owned.assign(packed.begin(), packed.end());
+    node.clock().advance(copy_us);
+    wire = byte_span{owned.data(), owned.size()};
+  }
+  if (device.isend_rendezvous(src, dst, env, wire, std::move(owned), state)) {
+    return;
+  }
+  std::shared_ptr<std::vector<std::byte>> payload;
   usec_t spawn_cost = marcel::ThreadCosts::kCreate;
   if (stage) {
     payload = std::make_shared<std::vector<std::byte>>(packed.begin(),
                                                        packed.end());
     wire = byte_span{payload->data(), payload->size()};
-    spawn_cost +=
-        static_cast<double>(packed.size()) * sim::kHostCopyUsPerByte;
+    spawn_cost += copy_us;
   }
-  const usec_t birth = node.clock().advance(spawn_cost);
-  std::thread([&node, birth, &device, src, dst, env, wire,
-               payload = std::move(payload), state = std::move(state)] {
-    node.clock().bind_lane(birth);
+  marcel::spawn(runtime.tasks(), node, spawn_cost,
+                [&device, src, dst, env, wire, payload = std::move(payload),
+                 state = std::move(state)] {
     const Status result =
         device.send(src, dst, env, wire, TransferMode::kRendezvous);
-    MpiStatus status;
-    status.source = env.dst;  // send-side status: peer and tag
-    status.tag = env.tag;
-    status.bytes = env.bytes;
-    status.error = result.code();
-    state->complete(status);
-  }).detach();
+    state->complete(send_status(env, result.code()));
+  });
 }
 
 }  // namespace
@@ -399,7 +401,7 @@ Request Comm::isend(const void* buf, int count, const Datatype& type,
   Device& device = device_to(dest);
   const rank_t dst_global = global_rank_of(dest);
   // Nonblocking: a dry credit window or full remote store demotes to the
-  // rendezvous thread instead of stalling the caller (may_block false).
+  // rendezvous task instead of stalling the caller (may_block false).
   const TransferMode mode =
       admit_or_demote(device, dst_global, env, false, /*may_block=*/false);
 
@@ -409,12 +411,7 @@ Request Comm::isend(const void* buf, int count, const Datatype& type,
     const Status result =
         device.send(global_rank_of(rank_), dst_global, env, packed, mode);
     if (!result.is_ok()) release_admission(dst_global, env, mode);
-    MpiStatus status;
-    status.source = dest;
-    status.tag = tag;
-    status.bytes = env.bytes;
-    status.error = result.code();
-    state->complete(status);
+    state->complete(send_status(env, result.code()));
   } else {
     // MPI_Cancel hook: ask the device to detach the rendezvous while it
     // still waits for the receiver's ack. The detached path then
@@ -423,21 +420,8 @@ Request Comm::isend(const void* buf, int count, const Datatype& type,
         [&device, src = global_rank_of(rank_), dst_global, env] {
           return device.try_cancel_send(src, dst_global, env);
         });
-    // Stage the payload so the caller's buffer is free on return (charged
-    // as a host copy), then hand the rendezvous to the device's
-    // asynchronous path: the REQUEST is injected on this thread, keeping
-    // it ordered behind any eager frames this rank already sent (MPI
-    // non-overtaking). A detached sender thread is the fallback only.
-    std::vector<std::byte> owned(packed.begin(), packed.end());
-    my_node().clock().advance(static_cast<double>(packed.size()) *
-                              sim::kHostCopyUsPerByte);
-    const byte_span wire{owned.data(), owned.size()};
-    if (!device.isend_rendezvous(global_rank_of(rank_), dst_global, env,
-                                 wire, std::move(owned), state)) {
-      spawn_rendezvous_send(my_node(), device, global_rank_of(rank_),
-                            dst_global, env, packed, state,
-                            /*stage=*/true);
-    }
+    start_rendezvous(*shared_->runtime, device, global_rank_of(rank_),
+                     dst_global, env, packed, state, /*stage=*/true);
   }
   return Request(std::move(state));
 }
@@ -445,11 +429,11 @@ Request Comm::isend(const void* buf, int count, const Datatype& type,
 Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
                          int tag) {
   // Schedule hop on the collective context. Must never block the caller
-  // (it can run from a completion hook): eager completes inline, anything
-  // else detaches to the rendezvous thread (may_block false everywhere).
+  // (it can run from a completion hook): eager completes inline, and a
+  // rendezvous starts asynchronously (may_block false everywhere).
   // The schedule keeps its payload buffer alive until every tracked
-  // sub-operation completes, so the rendezvous thread borrows it
-  // (stage=false) instead of paying a staging copy per tree hop.
+  // sub-operation completes, so the rendezvous borrows it (stage=false)
+  // instead of paying a staging copy per tree hop.
   Envelope env = make_envelope(dest, tag, bytes, false);
   env.context = shared_->context + 1;
   Device& device = device_to(dest);
@@ -462,19 +446,10 @@ Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
     const Status result =
         device.send(global_rank_of(rank_), dst_global, env, packed, mode);
     if (!result.is_ok()) release_admission(dst_global, env, mode);
-    MpiStatus status;
-    status.source = dest;
-    status.tag = tag;
-    status.bytes = env.bytes;
-    status.error = result.code();
-    state->complete(status);
-  } else if (!device.isend_rendezvous(global_rank_of(rank_), dst_global,
-                                      env, packed, {}, state)) {
-    // No staging either way: the schedule pins the buffer until every
-    // tracked sub-operation completes, so the device (or the fallback
-    // thread) borrows it directly.
-    spawn_rendezvous_send(my_node(), device, global_rank_of(rank_),
-                          dst_global, env, packed, state, /*stage=*/false);
+    state->complete(send_status(env, result.code()));
+  } else {
+    start_rendezvous(*shared_->runtime, device, global_rank_of(rank_),
+                     dst_global, env, packed, state, /*stage=*/false);
   }
   return Request(std::move(state));
 }
@@ -512,18 +487,8 @@ Request Comm::issend(const void* buf, int count, const Datatype& type,
                      dst = global_rank_of(dest), env] {
     return device.try_cancel_send(src, dst, env);
   });
-  // Same staged asynchronous rendezvous as isend: the handshake request
-  // leaves on this thread, in program order with the rank's eager frames.
-  std::vector<std::byte> owned(packed.begin(), packed.end());
-  my_node().clock().advance(static_cast<double>(packed.size()) *
-                            sim::kHostCopyUsPerByte);
-  const byte_span wire{owned.data(), owned.size()};
-  if (!device.isend_rendezvous(global_rank_of(rank_), global_rank_of(dest),
-                               env, wire, std::move(owned), state)) {
-    spawn_rendezvous_send(my_node(), device, global_rank_of(rank_),
-                          global_rank_of(dest), env, packed, state,
-                          /*stage=*/true);
-  }
+  start_rendezvous(*shared_->runtime, device, global_rank_of(rank_),
+                   global_rank_of(dest), env, packed, state, /*stage=*/true);
   return Request(std::move(state));
 }
 

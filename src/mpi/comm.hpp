@@ -102,8 +102,8 @@ class Comm {
   MpiStatus recv(void* buf, int count, const Datatype& type, rank_t source,
                  int tag);
 
-  /// MPI_Isend: eager sizes complete inline; rendezvous sizes are handed
-  /// to a temporary thread, exactly the paper's §4.2.3 scheme.
+  /// MPI_Isend: eager sizes complete inline; rendezvous sizes start the
+  /// device's asynchronous handshake (or a helper task, §4.2.3).
   Request isend(const void* buf, int count, const Datatype& type, rank_t dest,
                 int tag);
 

@@ -1,6 +1,6 @@
 // MPI request objects. A request is completed exactly once — by a polling
 // thread (ch_mad), by the sender thread (smp_plug/ch_self), or by a
-// temporary rendezvous thread — and waited on by the rank's control thread.
+// rendezvous helper task — and waited on by the rank's control thread.
 // Completion carries virtual time through the marcel::Semaphore, so a
 // waiter's clock never runs behind its completer's.
 #pragma once
@@ -32,8 +32,11 @@ class RequestState {
       completed_ = true;
       hook = std::move(on_complete_);
       on_complete_ = nullptr;
+      // Post the permit under the same lock as completed_: a test() that
+      // sees completed_ must find the permit (lock order request ->
+      // semaphore, as in test()).
+      done_.signal();
     }
-    done_.signal();
     // The hook runs on the completing context (a poller, a device thread,
     // a fiber resume) with the completer's virtual-time lane installed —
     // this is how nonblocking-collective schedules advance from the

@@ -60,6 +60,18 @@ struct MpiStatus {
   }
 };
 
+/// What a completed send reports: the peer and tag, never truncation
+/// (that is receiver-local).
+inline MpiStatus send_status(const Envelope& env,
+                             ErrorCode error = ErrorCode::kOk) {
+  MpiStatus status;
+  status.source = env.dst;
+  status.tag = env.tag;
+  status.bytes = env.bytes;
+  status.error = error;
+  return status;
+}
+
 /// Transfer protocol selected by the ADI for one message (paper §2.2.1:
 /// short/eager/rendez-vous; ch_mad merges short into eager, §4.2.1).
 enum class TransferMode {
