@@ -41,7 +41,7 @@ inline std::unique_ptr<core::Session> make_baseline_session(
       -> std::unique_ptr<core::ManagedDevice> {
     return std::make_unique<baselines::NativeDevice>(
         baselines::profile_by_name(profile_name), session.fabric(),
-        session.cluster(), session.directory(), session.tasks());
+        session.cluster(), session.directory());
   };
   return std::make_unique<core::Session>(std::move(options));
 }

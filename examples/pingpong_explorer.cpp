@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       }
       return std::make_unique<baselines::NativeDevice>(
           std::move(profile), session.fabric(), session.cluster(),
-          session.directory(), session.tasks());
+          session.directory());
     };
   }
   core::Session session(std::move(options));

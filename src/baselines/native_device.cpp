@@ -4,6 +4,7 @@
 
 #include "common/byte_buffer.hpp"
 #include "common/log.hpp"
+#include "marcel/task_pool.hpp"
 #include "sim/cost_model.hpp"
 
 namespace madmpi::baselines {
@@ -32,9 +33,8 @@ struct NativeDevice::WireHeader {
 
 NativeDevice::NativeDevice(NativeProfile profile, sim::Fabric& fabric,
                            const sim::ClusterSpec& cluster,
-                           core::RankDirectory& directory,
-                           marcel::TaskPool& tasks)
-    : profile_(std::move(profile)), directory_(directory), tasks_(tasks) {
+                           core::RankDirectory& directory)
+    : profile_(std::move(profile)), directory_(directory) {
   driver_ = net::make_driver(profile_.protocol);
 
   const sim::NetworkSpec* network = nullptr;
@@ -232,11 +232,10 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
                   WireHeader ack = header;
                   ack.kind = WireKind::kRndvAck;
                   ack.sync_address = sync_address;
-                  marcel::spawn(tasks_, *state_ptr->node,
-                                profile_.rndv_handshake_us * 0.5,
-                                [this, ep, peer, ack] {
-                                  transmit(*ep, peer, ack, {}, false);
-                                });
+                  // Acks and data pushes leave in place (DESIGN.md §14).
+                  marcel::run_now(*state_ptr->node,
+                                  profile_.rndv_handshake_us * 0.5,
+                                  [&] { transmit(*ep, peer, ack, {}, false); });
                 });
         break;
       }
@@ -249,13 +248,11 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
           MADMPI_CHECK(it != state.pending_sends.end());
           pending = it->second;
         }
-        const node_id_t peer = incoming->source();
-        net::Endpoint* ep = &endpoint;
         WireHeader data = header;
         data.kind = WireKind::kRndvData;
-        marcel::spawn(tasks_, node, profile_.rndv_handshake_us * 0.5,
-                      [this, ep, peer, data, pending] {
-          transmit(*ep, peer, data, pending->data, profile_.rndv_zero_copy);
+        marcel::run_now(node, profile_.rndv_handshake_us * 0.5, [&] {
+          transmit(endpoint, incoming->source(), data, pending->data,
+                   profile_.rndv_zero_copy);
           pending->done->signal();
         });
         break;

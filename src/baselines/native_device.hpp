@@ -19,7 +19,6 @@
 #include "core/directory.hpp"
 #include "core/managed_device.hpp"
 #include "marcel/semaphore.hpp"
-#include "marcel/task_pool.hpp"
 #include "net/driver.hpp"
 #include "sim/topology.hpp"
 
@@ -72,11 +71,10 @@ class NativeDevice final : public core::ManagedDevice {
  public:
   /// Builds the device's private transport over the first network of
   /// `cluster` matching the profile's protocol, using a dedicated adapter
-  /// so its NIC model can differ from the default one. Rendezvous acks
-  /// and data pushes run as helper tasks on `tasks`.
+  /// so its NIC model can differ from the default one.
   NativeDevice(NativeProfile profile, sim::Fabric& fabric,
                const sim::ClusterSpec& cluster,
-               core::RankDirectory& directory, marcel::TaskPool& tasks);
+               core::RankDirectory& directory);
   ~NativeDevice() override;
 
   const char* name() const override { return profile_.name.c_str(); }
@@ -123,7 +121,6 @@ class NativeDevice final : public core::ManagedDevice {
 
   NativeProfile profile_;
   core::RankDirectory& directory_;
-  marcel::TaskPool& tasks_;
   std::unique_ptr<net::Driver> driver_;
   std::unique_ptr<net::ChannelTransport> transport_;
   std::map<node_id_t, std::unique_ptr<NodeState>> states_;

@@ -9,16 +9,16 @@
 #include "common/log.hpp"
 #include "core/switchpoint.hpp"
 #include "marcel/engine.hpp"
+#include "marcel/task_pool.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/sched.hpp"
 #include "sim/trace.hpp"
 
 namespace madmpi::core {
 
-ChMadDevice::ChMadDevice(RankDirectory& directory, marcel::TaskPool& tasks,
+ChMadDevice::ChMadDevice(RankDirectory& directory,
                          std::vector<mad::Channel*> channels, Config config)
     : directory_(directory),
-      tasks_(tasks),
       router_(std::move(channels)),
       forward_channels_router_(std::move(config.forward_channels)) {
   switch_point_ = config.switch_point_override.has_value()
@@ -126,10 +126,6 @@ void ChMadDevice::shutdown() {
   for (auto& [node_id, state] : states_) {
     state->poll_server->begin_drain();
   }
-  // Phase 0: let in-flight helper tasks finish. Application traffic has
-  // quiesced, so no new ones can appear; waiting here keeps a straggling
-  // MAD_CREDIT_PKT from racing channel close below.
-  tasks_.wait_idle();
   // Phase 1: every node announces termination to every direct peer, on
   // direct channels plainly and on forwarding channels wrapped in a
   // final-hop routing header.
@@ -351,10 +347,10 @@ Status ChMadDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
     return status;
   }
 
-  // Park until the polling thread's data-push thread finished step 3 (or
-  // the watchdog gave up on the peer and completed the send with an
-  // error — it removes the handle from the table before signalling, so
-  // the erase below is a harmless no-op then).
+  // Park until the poller's data push finished step 3 (or the watchdog
+  // gave up on the peer and completed the send with an error — it removes
+  // the handle from the table before signalling, so the erase below is a
+  // harmless no-op then).
   pending.done->wait();
   {
     std::lock_guard<std::mutex> lock(state.mutex);
@@ -580,10 +576,9 @@ void ChMadDevice::credit_consumed(node_id_t me, node_id_t origin,
     batch = owed;
     owed = 0;
   }
-  // Credit returns follow the same no-sends-from-pollers rule as
-  // rendezvous acks. shutdown() drains the pool before closing channels.
-  marcel::spawn(tasks_, *state.node, marcel::ThreadCosts::kCreate,
-                [this, &state, me, origin, batch] {
+  // Sent in place by the consuming thread (rank or poller), before the
+  // receive completes, so it leaves before the application can finalize.
+  marcel::run_now(*state.node, marcel::ThreadCosts::kCreate, [&] {
     PacketHeader header;
     header.type = PacketType::kCredit;
     header.credit_bytes = batch;
@@ -784,13 +779,12 @@ std::size_t ChMadDevice::watchdog_sweep(const RouteDead& route_dead,
   return canceled;
 }
 
-void ChMadDevice::spawn_reply(NodeState& state, node_id_t dst_node,
-                              PacketHeader header) {
-  // Polling threads must not send (deadlock avoidance, §4.2.3): the
-  // OK_TO_SEND goes out on a helper task.
+void ChMadDevice::send_reply(NodeState& state, node_id_t dst_node,
+                             PacketHeader header) {
+  // Sent in place by the matching thread (poller or receiving rank): no
+  // send waits on a peer here, so pollers may send (DESIGN.md §14).
   const node_id_t src_node = state.node->id();
-  marcel::spawn(tasks_, *state.node, marcel::ThreadCosts::kCreate,
-                [this, &state, src_node, dst_node, header]() mutable {
+  marcel::run_now(*state.node, marcel::ThreadCosts::kCreate, [&] {
     // Piggyback any flow-control credits owed to the ack's destination:
     // the debt a receiver accumulates towards its eager senders rides on
     // rendezvous acks for free instead of costing its own packet.
@@ -812,14 +806,12 @@ void ChMadDevice::spawn_reply(NodeState& state, node_id_t dst_node,
   });
 }
 
-void ChMadDevice::spawn_rma_reply(NodeState& state, node_id_t dst_node,
-                                  PacketHeader header, ChunkRef body) {
-  // One-sided replies (lock grants, fence acks, get replies) obey the
-  // same pollers-never-send rule. The body chunk travels into the task
-  // by refcount; it dies with the task after the send.
+void ChMadDevice::send_rma_reply(NodeState& state, node_id_t dst_node,
+                                 PacketHeader header, ChunkRef body) {
+  // One-sided replies (lock grants, fence acks, get replies) leave in
+  // place like rendezvous acks.
   const node_id_t src_node = state.node->id();
-  marcel::spawn(tasks_, *state.node, marcel::ThreadCosts::kCreate,
-                [this, src_node, dst_node, header, body = std::move(body)] {
+  marcel::run_now(*state.node, marcel::ThreadCosts::kCreate, [&] {
     // Failure is survivable: the origin's watchdog/fence error path owns
     // recovery, the same as a lost rendezvous ack.
     Status status =
@@ -933,7 +925,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
                 PacketHeader ack = header;
                 ack.type = PacketType::kRndvOkToSend;
                 ack.sync_address = sync_address;
-                spawn_reply(*state_ptr, origin_node, ack);
+                send_reply(*state_ptr, origin_node, ack);
               });
       return;
     }
@@ -956,15 +948,13 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
         pending = it->second;
         pending->phase = PendingSend::Phase::kPushing;
       }
-      // The data push leaves from a helper task, like the ack.
+      // The poller pushes the data in place, like the ack.
       const node_id_t me = state.node->id();
       const node_id_t receiver = directory_.node_of(header.dst_global).id();
-      marcel::spawn(tasks_, *state.node, marcel::ThreadCosts::kCreate,
-                    [this, &state, me, receiver, pending,
-                     sync_address = header.sync_address] {
+      marcel::run_now(*state.node, marcel::ThreadCosts::kCreate, [&] {
         PacketHeader data = pending->header;
         data.type = PacketType::kRndvData;
-        data.sync_address = sync_address;
+        data.sync_address = header.sync_address;
         pending->result = send_packet(me, receiver, data, pending->data);
         // Unblocks a parked sender (which then destroys `pending`) or, for
         // an asynchronous entry, completes its request and frees it.
@@ -1201,8 +1191,8 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       const std::uint64_t bytes = header.rma.bytes;
       if (win != nullptr && bytes != 0 && bytes <= win->bytes &&
           offset <= win->bytes - bytes) {
-        // Snapshot the window range into a pool chunk (the reply thread
-        // must not read live window memory unlocked); a big-endian target
+        // Snapshot the window range into a pool chunk (the reply is sent
+        // outside the window lock); a big-endian target
         // ships it in its own order, the origin converts.
         body = SlabPool::global().allocate(bytes);
         std::lock_guard<std::mutex> lock(win->mutex);
@@ -1226,7 +1216,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       }
       const node_id_t origin_node =
           directory_.node_of(header.src_global).id();
-      spawn_rma_reply(state, origin_node, reply, std::move(body));
+      send_rma_reply(state, origin_node, reply, std::move(body));
       return;
     }
 
@@ -1237,7 +1227,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
                                     mad::RecvMode::kCheaper);
       }
       incoming.end_unpacking();
-      if (incoming.aborted()) return;  // reply thread retries via failover
+      if (incoming.aborted()) return;  // the replier retries via failover
       RmaPending pending;
       {
         std::lock_guard<std::mutex> lock(state.mutex);
@@ -1292,7 +1282,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
           directory_.node_of(header.src_global).id();
       NodeState* state_ptr = &state;
       auto fire = [this, state_ptr, origin_node, grant] {
-        spawn_rma_reply(*state_ptr, origin_node, grant, ChunkRef());
+        send_rma_reply(*state_ptr, origin_node, grant, ChunkRef());
       };
       bool now = false;
       {
@@ -1326,7 +1316,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
           directory_.node_of(header.src_global).id();
       NodeState* state_ptr = &state;
       auto fire = [this, state_ptr, origin_node, ack] {
-        spawn_rma_reply(*state_ptr, origin_node, ack, ChunkRef());
+        send_rma_reply(*state_ptr, origin_node, ack, ChunkRef());
       };
       const bool is_unlock = header.type == PacketType::kRmaUnlock;
       std::vector<std::function<void()>> ready;

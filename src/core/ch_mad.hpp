@@ -13,8 +13,8 @@
 //               posted buffer; the receiver's control thread waits on the
 //               rhandle semaphore (here: the request's completion).
 //
-// Polling threads never send (deadlock avoidance, §4.2.3): rendezvous
-// replies and data pushes run as helper tasks on the session's TaskPool.
+// Rendezvous replies, data pushes and credit returns leave in place from
+// the thread that triggers them, pollers included (DESIGN.md §14).
 #pragma once
 
 #include <atomic>
@@ -34,7 +34,6 @@
 #include "mad/madeleine.hpp"
 #include "marcel/poll_server.hpp"
 #include "marcel/semaphore.hpp"
-#include "marcel/task_pool.hpp"
 #include "mpi/adi.hpp"
 
 namespace madmpi::core {
@@ -75,9 +74,8 @@ class ChMadDevice final : public ManagedDevice {
     std::size_t rma_put_limit = 0;
   };
 
-  /// Helper tasks (replies, data pushes, credit returns) run on `tasks`.
-  ChMadDevice(RankDirectory& directory, marcel::TaskPool& tasks,
-              std::vector<mad::Channel*> channels, Config config);
+  ChMadDevice(RankDirectory& directory, std::vector<mad::Channel*> channels,
+              Config config);
   ~ChMadDevice() override;
 
   // --- mpi::Device ----------------------------------------------------
@@ -173,12 +171,12 @@ class ChMadDevice final : public ManagedDevice {
     byte_span data;
     PacketHeader header;
     std::unique_ptr<marcel::Semaphore> done;
-    /// Outcome of the rendezvous data push, set by the data thread before
-    /// it signals `done` (the sender returns it from send()).
+    /// Outcome of the rendezvous data push, set by the poller pushing the
+    /// data before it signals `done` (the sender returns it from send()).
     Status result;
-    /// kAwaitAck until OK_TO_SEND arrives; kPushing once a data thread
-    /// owns the entry. The watchdog only cancels kAwaitAck entries — a
-    /// kPushing one is referenced by a live data thread.
+    /// kAwaitAck until OK_TO_SEND arrives; kPushing once the poller's data
+    /// push owns the entry. The watchdog only cancels kAwaitAck entries —
+    /// a kPushing one is referenced by a push in progress.
     enum class Phase { kAwaitAck, kPushing } phase = Phase::kAwaitAck;
     node_id_t peer_node = kInvalidNode;
     usec_t started_at = 0.0;
@@ -264,12 +262,11 @@ class ChMadDevice final : public ManagedDevice {
   void relay(node_id_t me, mad::ForwardHeader fwd,
              mad::Unpacking& incoming);
 
-  void spawn_reply(NodeState& state, node_id_t dst_node,
-                   PacketHeader header);
-  /// Same no-sends-from-pollers rule for one-sided replies; `body` (a
-  /// get-reply's window bytes) rides along by refcount, not by copy.
-  void spawn_rma_reply(NodeState& state, node_id_t dst_node,
-                       PacketHeader header, ChunkRef body);
+  void send_reply(NodeState& state, node_id_t dst_node, PacketHeader header);
+  /// The same for one-sided replies; `body` (a get-reply's window bytes)
+  /// rides along by refcount, not by copy.
+  void send_rma_reply(NodeState& state, node_id_t dst_node,
+                      PacketHeader header, ChunkRef body);
   /// Single completion discipline for a finished rendezvous send:
   /// parked (blocking) entries are unblocked through their semaphore;
   /// asynchronous entries complete their RequestState and are freed.
@@ -299,7 +296,6 @@ class ChMadDevice final : public ManagedDevice {
   static constexpr usec_t kDispatchUs = 1.0;
 
   RankDirectory& directory_;
-  marcel::TaskPool& tasks_;
   ChannelRouter router_;
   ChannelRouter forward_channels_router_;
   std::optional<ForwardRouter> forward_router_;

@@ -65,7 +65,7 @@ Session::Session(Options options) {
   }
 
   ch_self_ = std::make_unique<ChSelfDevice>(directory_);
-  smp_plug_ = std::make_unique<SmpPlugDevice>(directory_, tasks_);
+  smp_plug_ = std::make_unique<SmpPlugDevice>(directory_);
 
   forwarding_enabled_ = options.enable_forwarding;
   if (options.internode_factory) {
@@ -95,7 +95,7 @@ Session::Session(Options options) {
       }
     }
     internode_ = std::make_unique<ChMadDevice>(
-        directory_, tasks_, madeleine_->open_default_channels(), config);
+        directory_, madeleine_->open_default_channels(), config);
   }
   if (internode_) internode_->start();
 
@@ -225,6 +225,7 @@ void Session::finalize() {
     watchdog_->stop();
     watchdog_.reset();
   }
+  tasks_.wait_idle();  // blocked-send tasks finish before devices close
   if (internode_) internode_->shutdown();
   madeleine_->close_all();
 }

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "marcel/task_pool.hpp"
 #include "marcel/thread.hpp"
 #include "sim/cost_model.hpp"
 
@@ -43,9 +44,8 @@ void hand_off(sim::Node& node, const mpi::Envelope& env, byte_span packed,
 
 }  // namespace
 
-SmpPlugDevice::SmpPlugDevice(RankDirectory& directory,
-                             marcel::TaskPool& tasks)
-    : directory_(directory), tasks_(tasks) {}
+SmpPlugDevice::SmpPlugDevice(RankDirectory& directory)
+    : directory_(directory) {}
 
 bool SmpPlugDevice::reaches(rank_t src, rank_t dst) const {
   return src != dst && directory_.same_node(src, dst);
@@ -93,18 +93,14 @@ bool SmpPlugDevice::isend_rendezvous(
   auto keepalive =
       std::make_shared<std::vector<std::byte>>(std::move(owned));
   directory_.context_of(dst).deliver_rendezvous(
-      env, [&tasks = tasks_, &node, env, packed,
-            keepalive = std::move(keepalive),
+      env, [&node, env, packed, keepalive = std::move(keepalive),
             state = std::move(state)](const mpi::Envelope&,
                                       mpi::PostedRecv target) {
-        // The copy runs on a helper task (the paper's one-Marcel-thread-
-        // per-isend), NOT inline: the match often fires on the sender's
-        // own lane (receive already posted when the announcement lands),
-        // and a tree node fanning 64 KiB to four children must not
-        // serialize four copies there.
-        marcel::spawn(tasks, node, marcel::ThreadCosts::kCreate,
-                      [&node, env, packed, keepalive, state,
-                       target = std::move(target)] {
+        // The copy runs as a helper (the paper's one-Marcel-thread-per-
+        // isend) on its own lane, in place: the match often fires on the
+        // sender's own lane, and a tree node fanning 64 KiB to four
+        // children must not serialize four copies there.
+        marcel::run_now(node, marcel::ThreadCosts::kCreate, [&] {
           hand_off(node, env, packed, target);
           state->complete(mpi::send_status(env));
         });

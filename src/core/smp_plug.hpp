@@ -8,7 +8,6 @@
 
 #include "core/directory.hpp"
 #include "marcel/semaphore.hpp"
-#include "marcel/task_pool.hpp"
 #include "mpi/adi.hpp"
 
 namespace madmpi::core {
@@ -21,7 +20,7 @@ namespace madmpi::core {
 /// needed because both parties share the node.
 class SmpPlugDevice final : public mpi::Device {
  public:
-  SmpPlugDevice(RankDirectory& directory, marcel::TaskPool& tasks);
+  explicit SmpPlugDevice(RankDirectory& directory);
 
   const char* name() const override { return "smp_plug"; }
 
@@ -47,7 +46,6 @@ class SmpPlugDevice final : public mpi::Device {
 
  private:
   RankDirectory& directory_;
-  marcel::TaskPool& tasks_;
 };
 
 }  // namespace madmpi::core

@@ -1,8 +1,9 @@
-// Helper tasks: the paper's temporary Marcel threads (§4.2.3) run on
-// reused workers instead of one new OS thread each (DESIGN.md §14). The
-// pool is elastic: a task goes to an idle worker, or a new worker starts,
-// because a task may block until another task runs. Each task runs under
-// a fresh VirtualClock::LaneMap, so it sees exactly what a new thread did.
+// Helpers: the paper's temporary Marcel threads (§4.2.3, DESIGN.md §14).
+// One that only sends runs in place (run_now); one that blocks until a
+// peer replies runs on a reused worker (spawn). The pool is elastic: a
+// task goes to an idle worker, or a new worker starts, because a task may
+// block until another runs. Each helper runs under a fresh
+// VirtualClock::LaneMap, so it sees exactly what a new thread did.
 #pragma once
 
 #include <condition_variable>
@@ -106,6 +107,21 @@ void spawn(TaskPool& pool, sim::Node& node, usec_t virt_cost, Fn&& fn) {
     node.clock().bind_lane(birth);
     fn();
   });
+}
+
+/// Run `fn` in place, on the calling thread, charged exactly as spawn
+/// charges it: on a fresh lane map, with its lane born at the caller's
+/// time plus `virt_cost`. The caller's map (and a fiber's open batch) is
+/// restored afterwards. For helpers that never block on a peer.
+template <typename Fn>
+void run_now(sim::Node& node, usec_t virt_cost, Fn&& fn) {
+  const usec_t birth = node.clock().advance(virt_cost);
+  sim::VirtualClock::LaneMap lanes;
+  sim::VirtualClock::LaneMap* previous =
+      sim::VirtualClock::exchange_lane_map(&lanes);
+  node.clock().bind_lane(birth);
+  std::forward<Fn>(fn)();
+  sim::VirtualClock::exchange_lane_map(previous);
 }
 
 }  // namespace madmpi::marcel

@@ -4,10 +4,10 @@
 // creation (one temporary thread per MPI_Isend, per rendezvous reply), for
 // blocking synchronization between polling threads and the MPI control
 // thread, and for factorized network polling. Here the long-lived threads
-// (pollers, marcel/poll_server.hpp) are std::threads; the temporary ones
-// are helper tasks on a reused worker pool (marcel/task_pool.hpp), so no
-// OS thread is started per message. Either way the hosting node's virtual
-// clock is charged Marcel's *cost profile* (fast create/wake/yield).
+// (pollers, marcel/poll_server.hpp) are std::threads; a temporary one runs
+// in place, or on a reused worker pool if it waits on a peer
+// (marcel/task_pool.hpp), so no OS thread is started per message. Either
+// way the node's virtual clock is charged Marcel's *cost profile*.
 #pragma once
 
 #include "common/types.hpp"

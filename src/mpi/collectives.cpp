@@ -193,12 +193,12 @@ void Comm::gather_packed_to_root(const void* send_buf, int send_count,
 
 void Comm::set_collective_config(const CollectiveConfig& config) {
   std::lock_guard<std::mutex> lock(shared_->seq_mutex);
-  shared_->collectives = config;
+  shared_->collectives_of(rank_) = config;
 }
 
 CollectiveConfig Comm::collective_config() const {
   std::lock_guard<std::mutex> lock(shared_->seq_mutex);
-  return shared_->collectives;
+  return shared_->collectives_of(rank_);
 }
 
 Status Comm::barrier() {

@@ -21,8 +21,9 @@ struct Comm::Shared {
   int context = 0;
   std::vector<rank_t> group;
 
-  /// Collective tuning; every rank must configure identically.
-  CollectiveConfig collectives;
+  /// Collective tuning, one slot per comm rank (setting it is rank-local;
+  /// every rank must configure identically). Lazily sized, seq_mutex.
+  std::vector<CollectiveConfig> collectives;
 
   /// Per-comm-rank error handlers (MPI_Comm_set_errhandler is local, so
   /// each rank owns its slot; the mutex covers world comms where every
@@ -58,6 +59,10 @@ struct Comm::Shared {
   std::shared_ptr<const CollTopo> topo;
 
   std::mutex seq_mutex;
+  CollectiveConfig& collectives_of(rank_t comm_rank) {  // seq_mutex held
+    if (collectives.size() < group.size()) collectives.resize(group.size());
+    return collectives[static_cast<std::size_t>(comm_rank)];
+  }
   int next_seq(rank_t comm_rank) {
     std::lock_guard<std::mutex> lock(seq_mutex);
     return creation_seq[static_cast<std::size_t>(comm_rank)]++;

@@ -324,9 +324,9 @@ void RankContext::consume_unexpected(UnexpectedMessage message,
   node_.clock().advance(static_cast<double>(message.payload.size()) *
                         sim::kHostCopyUsPerByte);
   // Credits first, completion second: once finish_recv() completes the
-  // request the application may reach finalize(), and a credit-return
-  // thread spawned after that loses the shutdown-drain race (its
-  // packet lands behind the termination marker and is never read).
+  // request the application may reach finalize(), and a credit return
+  // sent after that can land behind the termination marker and never be
+  // read.
   if (message.on_consumed) message.on_consumed();
   finish_recv(posted, message.env, message.payload.span());
 }
@@ -419,9 +419,9 @@ void RankContext::deliver_eager(const Envelope& env, byte_span payload,
     sim::trace(node_.clock().now(), node_.id(), sim::TraceCategory::kMatch,
                payload.size(), "posted");
     // Same ordering as the unexpected-drain path: the device's credit
-    // return must be registered before the receive is observably complete,
-    // or a poller-thread consume can spawn its credit packet after the
-    // application already entered finalize() (see shutdown() phase 0).
+    // return must be sent before the receive is observably complete, or a
+    // poller-thread consume can send its credit packet after the
+    // application already entered finalize().
     if (on_consumed) on_consumed();
     finish_recv(posted, env, payload);
     return;

@@ -1,6 +1,6 @@
 // MPI request objects. A request is completed exactly once — by a polling
-// thread (ch_mad), by the sender thread (smp_plug/ch_self), or by a
-// rendezvous helper task — and waited on by the rank's control thread.
+// thread (ch_mad), by the sender or matching thread (smp_plug/ch_self), or
+// by a blocking-send helper task — and waited on by the rank's thread.
 // Completion carries virtual time through the marcel::Semaphore, so a
 // waiter's clock never runs behind its completer's.
 #pragma once

@@ -25,7 +25,7 @@ std::unique_ptr<Session> baseline_session(const std::string& profile,
       [profile](Session& session) -> std::unique_ptr<core::ManagedDevice> {
     return std::make_unique<NativeDevice>(
         baselines::profile_by_name(profile), session.fabric(),
-        session.cluster(), session.directory(), session.tasks());
+        session.cluster(), session.directory());
   };
   return std::make_unique<Session>(std::move(options));
 }

@@ -158,7 +158,7 @@ TEST(FlowControl, CreditsConservedAtQuiesceAcrossSeeds) {
     ASSERT_NE(device, nullptr);
     const std::size_t window = device->credit_window();
     ASSERT_GT(window, 0u);
-    // Drain in-flight credit-return threads before auditing the books.
+    // Stop the pollers before auditing the books.
     session->finalize();
     for (node_id_t a = 0; a <= 1; ++a) {
       const node_id_t b = 1 - a;

@@ -1,9 +1,10 @@
-// Tests for the Marcel-like thread layer: semaphores, poll server and the
-// helper-task pool.
+// Tests for the Marcel-like thread layer: semaphores, poll server, helpers
+// run in place and the helper-task pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "baselines/native_device.hpp"
@@ -136,7 +137,7 @@ std::unique_ptr<core::Session> sisci_pair() {
 }
 
 // 16 KiB: above the 8 KiB switch point SISCI elects, so every message runs
-// the rendezvous handshake and its reply and data-push tasks.
+// the rendezvous handshake with its reply and data-push helpers.
 constexpr int kRndvBytes = 16 * 1024;
 
 void rendezvous_pingpong(core::Session& session, int round_trips) {
@@ -155,44 +156,12 @@ void rendezvous_pingpong(core::Session& session, int round_trips) {
   });
 }
 
-TEST(TaskPool, RendezvousPingPongReusesWorkers) {
-  auto session = sisci_pair();
-  // Warm-up. A ping-pong usually keeps one or two tasks busy at a time;
-  // two overlap only when the host delays a finishing task. Four bsends
-  // that block in their tasks until the receiver posts first grow the
-  // pool past that, so a late host delay cannot start a worker inside
-  // the measured window.
-  constexpr int kBurst = 4;
-  session->run([](mpi::Comm comm) {
-    std::vector<std::uint8_t> buf(kRndvBytes);
-    const auto type = mpi::Datatype::uint8();
-    if (comm.rank() == 0) {
-      mpi::Comm::buffer_attach(kBurst *
-                               (kRndvBytes + mpi::Comm::bsend_overhead()));
-      for (int i = 0; i < kBurst; ++i) {
-        comm.bsend(buf.data(), kRndvBytes, type, 1, i);
-      }
-      comm.send(buf.data(), 1, type, 1, kBurst);
-      mpi::Comm::buffer_detach();
-    } else {
-      comm.recv(buf.data(), 1, type, 0, kBurst);
-      for (int i = 0; i < kBurst; ++i) {
-        comm.recv(buf.data(), kRndvBytes, type, 0, i);
-      }
-    }
-  });
-  rendezvous_pingpong(*session, 100);
-  const std::uint64_t warm = session->tasks().workers_started();
-  EXPECT_GE(warm, static_cast<std::uint64_t>(kBurst));
-  rendezvous_pingpong(*session, 500);  // 1000 messages, 2000 helper tasks
-  EXPECT_EQ(session->tasks().workers_started(), warm);
-}
-
 TEST(TaskPool, BlockedSendTasksSurviveLateReceives) {
   // MPI-GM has no asynchronous rendezvous, so every isend falls back to a
   // helper task that blocks in the device until its ack arrives; so does
-  // every bsend. The receiver posts nothing until all 128 are blocked:
-  // only a pool that grows instead of queueing can run the ack tasks.
+  // every bsend. The receiver posts nothing until all 128 are blocked,
+  // then posts in reverse: only a pool that grows instead of queueing
+  // lets every request out for those receives to match.
   // The eager go message leaves rank 0's node while those tasks still
   // send their requests, so this also needs the device to keep each
   // message's frames together.
@@ -202,7 +171,7 @@ TEST(TaskPool, BlockedSendTasksSurviveLateReceives) {
       -> std::unique_ptr<core::ManagedDevice> {
     return std::make_unique<baselines::NativeDevice>(
         baselines::profile_by_name("MPI-GM"), session.fabric(),
-        session.cluster(), session.directory(), session.tasks());
+        session.cluster(), session.directory());
   };
   core::Session session(std::move(options));
   constexpr int kSends = 64;
@@ -271,8 +240,8 @@ TEST(TaskPool, SpawnChargesCreateCostAndBindsBirth) {
 
 TEST(TaskPool, SpinTestOnPoolCompletedIsends) {
   // Regression: a request's completed flag and its semaphore permit must
-  // become visible together. A test() spinning against a helper task's
-  // complete() used to see the flag without the permit and abort.
+  // become visible together. A test() spinning against the data-push
+  // helper's complete() used to see the flag without the permit and abort.
   auto session = sisci_pair();
   session->run([](mpi::Comm comm) {
     std::vector<std::uint8_t> buf(kRndvBytes);
@@ -289,6 +258,163 @@ TEST(TaskPool, SpinTestOnPoolCompletedIsends) {
       }
     }
   });
+}
+
+// --------------------------------------------------------------- run_now
+
+TEST(RunNow, ChargesCallerAndBindsBirthLikeSpawn) {
+  sim::Node spawned(0, "spawned", 2);
+  sim::Node inline_node(1, "inline", 2);
+  spawned.clock().advance(10.0);
+  inline_node.clock().advance(10.0);
+  usec_t spawn_birth = 0.0;
+  usec_t inline_birth = 0.0;
+  TaskPool pool;
+  spawn(pool, spawned, ThreadCosts::kCreate,
+        [&] { spawn_birth = spawned.clock().now(); });
+  pool.wait_idle();
+  run_now(inline_node, ThreadCosts::kCreate,
+          [&] { inline_birth = inline_node.clock().now(); });
+  EXPECT_EQ(pool.workers_started(), 1u);
+  EXPECT_DOUBLE_EQ(inline_node.clock().now(), spawned.clock().now());
+  EXPECT_DOUBLE_EQ(inline_node.clock().now(), 10.0 + ThreadCosts::kCreate);
+  EXPECT_DOUBLE_EQ(inline_birth, spawn_birth);
+  EXPECT_DOUBLE_EQ(inline_birth, 10.0 + ThreadCosts::kCreate);
+}
+
+TEST(RunNow, DropsHelperLaneAndKeepsCallerLane) {
+  sim::Node node(0, "n", 2);
+  node.clock().advance(7.0);
+  std::size_t lanes_inside = 0;
+  run_now(node, ThreadCosts::kCreate, [&] {
+    node.clock().advance(100.0);  // the helper's work, not the caller's
+    lanes_inside = node.clock().lanes().size();
+  });
+  EXPECT_EQ(lanes_inside, 2u);  // caller + helper
+  const auto lanes = node.clock().lanes();
+  ASSERT_EQ(lanes.size(), 1u);  // the helper's lane is gone
+  EXPECT_DOUBLE_EQ(lanes.front().time, 7.0 + ThreadCosts::kCreate);
+  EXPECT_DOUBLE_EQ(node.clock().now(), 7.0 + ThreadCosts::kCreate);
+  EXPECT_DOUBLE_EQ(node.clock().high_water(),
+                   7.0 + ThreadCosts::kCreate + 100.0);
+}
+
+TEST(RunNow, RestoresAFibersOpenBatch) {
+  // What the fiber engine does around a run slice: its own lane map with
+  // an open batch, whose high-water publication waits for end_batch().
+  sim::Node node(0, "n", 2);
+  sim::VirtualClock::LaneMap fiber_lanes;
+  sim::VirtualClock::LaneMap* previous =
+      sim::VirtualClock::exchange_lane_map(&fiber_lanes);
+  sim::VirtualClock::begin_batch();
+  node.clock().bind_lane(5.0);
+  run_now(node, ThreadCosts::kCreate, [] {});
+  node.clock().advance(1000.0);  // still batched: unpublished
+  usec_t seen_elsewhere = 0.0;
+  std::thread([&] { seen_elsewhere = node.clock().high_water(); }).join();
+  EXPECT_LT(seen_elsewhere, 1000.0);
+  EXPECT_DOUBLE_EQ(node.clock().high_water(),
+                   5.0 + ThreadCosts::kCreate + 1000.0);
+  sim::VirtualClock::end_batch();
+  sim::VirtualClock::exchange_lane_map(previous);
+  std::thread([&] { seen_elsewhere = node.clock().high_water(); }).join();
+  EXPECT_DOUBLE_EQ(seen_elsewhere, 5.0 + ThreadCosts::kCreate + 1000.0);
+}
+
+TEST(RunNow, RendezvousPingPongStartsNoWorkers) {
+  // Acks, data pushes and credit returns all run in place: a rendezvous
+  // ping-pong never touches the pool.
+  auto session = sisci_pair();
+  rendezvous_pingpong(*session, 500);  // 1000 messages
+  EXPECT_EQ(session->tasks().workers_started(), 0u);
+}
+
+// Regression for senders that wait on nothing: both ranks post 64
+// rendezvous isends towards each other before either posts a matching
+// receive, then push eager traffic through a small blocking credit
+// window. Each node's poller sends credit returns and data pushes on the
+// connections its rank thread is sending on, and every reply crosses the
+// other side's. All of it must complete.
+void crossed_isends_with_credit_traffic(sim::ClusterSpec cluster, rank_t a,
+                                        rank_t b, bool forwarding) {
+  core::Session::Options options;
+  options.cluster = std::move(cluster);
+  options.enable_forwarding = forwarding;
+  options.credit_window_bytes = 4096;
+  options.credit_policy = core::ChMadDevice::CreditPolicy::kBlock;
+  core::Session session(std::move(options));
+  const int rndv_bytes =
+      static_cast<int>(2 * session.ch_mad()->rendezvous_threshold());
+  constexpr int kRndv = 64;
+  constexpr int kEager = 256;
+  constexpr int kEagerBytes = 256;
+  const auto type = mpi::Datatype::uint8();
+  std::atomic<int> completed{0};
+  session.run([&](mpi::Comm comm) {
+    if (comm.rank() != a && comm.rank() != b) return;
+    const rank_t peer = comm.rank() == a ? b : a;
+    std::vector<std::vector<std::uint8_t>> eager_in(
+        kEager, std::vector<std::uint8_t>(kEagerBytes));
+    std::vector<mpi::Request> eager_recvs;
+    for (int i = 0; i < kEager; ++i) {
+      eager_recvs.push_back(comm.irecv(eager_in[i].data(), kEagerBytes, type,
+                                       peer, kRndv + i));
+    }
+    std::vector<std::vector<std::uint8_t>> out(kRndv);
+    std::vector<mpi::Request> sends;
+    for (int m = 0; m < kRndv; ++m) {
+      out[m].assign(static_cast<std::size_t>(rndv_bytes),
+                    static_cast<std::uint8_t>(comm.rank() * 64 + m));
+      sends.push_back(comm.isend(out[m].data(), rndv_bytes, type, peer, m));
+    }
+    std::vector<std::uint8_t> eager_out(kEagerBytes);
+    for (int i = 0; i < kEager; ++i) {
+      eager_out.assign(kEagerBytes, static_cast<std::uint8_t>(i));
+      comm.send(eager_out.data(), kEagerBytes, type, peer, kRndv + i);
+    }
+    std::vector<std::uint8_t> in(static_cast<std::size_t>(rndv_bytes));
+    for (int m = kRndv - 1; m >= 0; --m) {  // late, and in reverse
+      const mpi::MpiStatus status = comm.recv(in.data(), rndv_bytes, type,
+                                              peer, m);
+      EXPECT_EQ(status.error, ErrorCode::kOk);
+      EXPECT_EQ(in.front(), static_cast<std::uint8_t>(peer * 64 + m));
+      EXPECT_EQ(in.back(), static_cast<std::uint8_t>(peer * 64 + m));
+      ++completed;
+    }
+    for (int i = 0; i < kEager; ++i) {
+      EXPECT_EQ(eager_recvs[i].wait().error, ErrorCode::kOk);
+      EXPECT_EQ(eager_in[i].front(), static_cast<std::uint8_t>(i));
+      ++completed;
+    }
+    for (auto& request : sends) {
+      EXPECT_EQ(request.wait().error, ErrorCode::kOk);
+      ++completed;
+    }
+  });
+  EXPECT_EQ(completed.load(), 2 * (2 * kRndv + kEager));
+  EXPECT_GT(session.ch_mad()->credit_packets(), 0u);
+  EXPECT_EQ(session.tasks().workers_started(), 0u);
+}
+
+TEST(PollerSends, CrossedIsendsWithCreditTrafficOnSisci) {
+  crossed_isends_with_credit_traffic(
+      sim::ClusterSpec::homogeneous(2, sim::Protocol::kSisci), 0, 1,
+      /*forwarding=*/false);
+}
+
+TEST(PollerSends, CrossedIsendsWithCreditTrafficThroughGateway) {
+  // a on SCI, b on Myrinet, gw on both: a and b only reach each other
+  // through the gateway's relay.
+  sim::ClusterSpec spec;
+  for (const char* name : {"a", "gw", "b"}) {
+    sim::NodeSpec node;
+    node.name = name;
+    spec.nodes.push_back(node);
+  }
+  spec.networks.push_back({sim::Protocol::kSisci, 0, {"a", "gw"}});
+  spec.networks.push_back({sim::Protocol::kBip, 0, {"gw", "b"}});
+  crossed_isends_with_credit_traffic(std::move(spec), 0, 2,
+                                     /*forwarding=*/true);
 }
 
 }  // namespace
