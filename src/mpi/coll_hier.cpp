@@ -1,18 +1,11 @@
-// The hierarchical collective engine (tentpole of the collectives PR).
+// Collective algorithm selection and the modeled NIC offload.
 //
 // The flat MPICH algorithms treat every rank pair as equal; on a
 // Madeleine-style multi-protocol cluster that sends the same byte across
-// TCP many times. The hierarchy walks the topology digest instead:
-//
-//   level 1: one representative per cluster crosses the interconnect once
-//   level 2: island leaders fan out/in within each cluster (SCI/BIP)
-//   level 3: ranks fan out/in within each island (shared memory)
-//
-// Every level is the same binomial tree over an explicit member list, so
-// the whole engine reduces to tree_bcast_members/tree_reduce_members plus
-// the list construction (with the user's root swapped to the front of its
-// island, cluster and rep lists, so data originates at the root without an
-// extra hop).
+// TCP many times. The hierarchical algorithms (coll_schedule.cpp) walk the
+// topology digest instead; this file decides per call which algorithm
+// runs, and runs the offloaded barrier/bcast, whose host halves are
+// schedules too.
 //
 // kAuto resolution order: explicit config < tuner decision table < static
 // heuristic. On a single-island topology the heuristic resolves to the
@@ -26,6 +19,7 @@
 
 #include "common/status.hpp"
 #include "mpi/coll_offload.hpp"
+#include "mpi/coll_schedule.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/comm_shared.hpp"
 #include "sim/cost_model.hpp"
@@ -33,17 +27,6 @@
 namespace madmpi::mpi {
 
 namespace {
-
-// Tags mirror collectives.cpp's blocking-collective tag space (1..8);
-// blocking collectives on one communicator are serialized, so sharing
-// values with the flat algorithms is safe.
-constexpr int kHierBarrierTag = 1;
-constexpr int kHierBcastTag = 2;
-constexpr int kHierReduceTag = 3;
-
-bool contains(const std::vector<rank_t>& members, rank_t rank) {
-  return std::find(members.begin(), members.end(), rank) != members.end();
-}
 
 int tree_depth(int n) {
   int depth = 0;
@@ -186,7 +169,8 @@ BcastAlgorithm Comm::resolve_bcast(std::size_t bytes) const {
   return algorithm;
 }
 
-AllreduceAlgorithm Comm::resolve_allreduce(std::size_t bytes) const {
+AllreduceAlgorithm Comm::resolve_allreduce(std::size_t bytes,
+                                           int count) const {
   const CollectiveConfig config = collective_config();
   if (config.fault_tolerant) return AllreduceAlgorithm::kReduceBcast;
   const CollTopo& topo = coll_topo();
@@ -204,6 +188,11 @@ AllreduceAlgorithm Comm::resolve_allreduce(std::size_t bytes) const {
   if (algorithm == AllreduceAlgorithm::kHierarchical &&
       topo.single_island()) {
     algorithm = AllreduceAlgorithm::kReduceBcast;
+  }
+  // The ring needs at least one element per rank to be worthwhile (and
+  // correct chunking); degrade gracefully for tiny payloads.
+  if (algorithm == AllreduceAlgorithm::kRing && count < size()) {
+    algorithm = AllreduceAlgorithm::kRecursiveDoubling;
   }
   return algorithm;
 }
@@ -235,189 +224,21 @@ BarrierAlgorithm Comm::resolve_barrier() const {
   return algorithm;
 }
 
-bool Comm::use_hier_reduce(std::size_t bytes) const {
-  return resolve_allreduce(bytes) == AllreduceAlgorithm::kHierarchical;
-}
-
-// --- Tree primitives over explicit member lists -------------------------
-
-void Comm::tree_bcast_members(const std::vector<rank_t>& members,
-                              std::byte* wire, std::size_t bytes, int tag) {
-  const int n = static_cast<int>(members.size());
-  if (n <= 1) return;
-  const int me = static_cast<int>(
-      std::find(members.begin(), members.end(), rank_) - members.begin());
-  MADMPI_CHECK_MSG(me < n, "rank not in its tree member list");
-  int mask = 1;
-  while (mask < n) {
-    if (me & mask) {
-      coll_recv(wire, bytes, members[static_cast<std::size_t>(me & ~mask)],
-                tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  std::vector<rank_t> children;
-  while (mask > 0) {
-    if (me + mask < n) {
-      children.push_back(members[static_cast<std::size_t>(me + mask)]);
-    }
-    mask >>= 1;
-  }
-  coll_send_multi(children, wire, bytes, tag);
-}
-
-void Comm::linear_bcast_members(const std::vector<rank_t>& members,
-                                std::byte* wire, std::size_t bytes,
-                                int tag) {
-  // Flat fan-out from members[0]: used across the interconnect level,
-  // where the member count is the cluster count (single digits) and every
-  // hop pays a full payload serialization on the slowest wire — a
-  // depth-log tree charges depth × wire time on its longest path, the
-  // concurrent flat fan-out charges one.
-  if (members.size() <= 1) return;
-  if (rank_ == members.front()) {
-    const std::vector<rank_t> children(members.begin() + 1, members.end());
-    coll_send_multi(children, wire, bytes, tag);
-  } else {
-    coll_recv(wire, bytes, members.front(), tag);
-  }
-}
-
-void Comm::tree_reduce_members(const std::vector<rank_t>& members,
-                               std::byte* accum, std::size_t bytes, int count,
-                               const Datatype& type, const Op* op, int tag) {
-  const int n = static_cast<int>(members.size());
-  if (n <= 1) return;
-  const int me = static_cast<int>(
-      std::find(members.begin(), members.end(), rank_) - members.begin());
-  MADMPI_CHECK_MSG(me < n, "rank not in its tree member list");
-  std::vector<std::byte> incoming(bytes);
-  for (int mask = 1; mask < n; mask <<= 1) {
-    if (me & mask) {
-      coll_send(accum, bytes, members[static_cast<std::size_t>(me & ~mask)],
-                tag);
-      return;
-    }
-    const int src = me | mask;
-    if (src < n) {
-      coll_recv(incoming.data(), bytes,
-                members[static_cast<std::size_t>(src)], tag);
-      if (op != nullptr && bytes > 0) {
-        op->apply(incoming.data(), accum, count, type);
-        my_node().clock().advance(static_cast<double>(bytes) *
-                                  sim::kHostCopyUsPerByte);
-      }
-    }
-  }
-}
-
-// --- Hierarchical algorithms --------------------------------------------
-//
-// Member lists come from coll_topo.cpp's re-rooted constructors
-// (rep_list / cluster_leader_list / island_member_list).
-
-void Comm::hier_bcast(std::byte* wire, std::size_t bytes, rank_t root) {
-  const CollTopo& topo = coll_topo();
-  const int root_island = topo.island_of[static_cast<std::size_t>(root)];
-  const int root_cluster =
-      topo.islands[static_cast<std::size_t>(root_island)].cluster;
-  const int my_island = topo.island_of[static_cast<std::size_t>(rank_)];
-  const int my_cluster =
-      topo.islands[static_cast<std::size_t>(my_island)].cluster;
-
-  // Level 1: effective reps cross the interconnect, flat fan-out (the
-  // deepest path pays one interconnect serialization, not log2(reps)).
-  if (!topo.single_cluster()) {
-    const std::vector<rank_t> reps = rep_list(topo, root_cluster, root);
-    if (contains(reps, rank_)) {
-      linear_bcast_members(reps, wire, bytes, kHierBcastTag);
-    }
-  }
-  // Level 2: island leaders fan out within each cluster.
-  {
-    const std::vector<rank_t> leaders =
-        cluster_leader_list(topo, my_cluster, root_island, root);
-    if (contains(leaders, rank_)) {
-      tree_bcast_members(leaders, wire, bytes, kHierBcastTag);
-    }
-  }
-  // Level 3: release within the island (everyone participates).
-  tree_bcast_members(island_member_list(topo, my_island, root_island, root),
-                     wire, bytes, kHierBcastTag);
-}
-
-void Comm::hier_reduce(std::byte* accum, std::size_t bytes, int count,
-                       const Datatype& type, const Op& op, rank_t root) {
-  const CollTopo& topo = coll_topo();
-  const int root_island = topo.island_of[static_cast<std::size_t>(root)];
-  const int root_cluster =
-      topo.islands[static_cast<std::size_t>(root_island)].cluster;
-  const int my_island = topo.island_of[static_cast<std::size_t>(rank_)];
-  const int my_cluster =
-      topo.islands[static_cast<std::size_t>(my_island)].cluster;
-
-  // The exact mirror of hier_bcast, levels reversed: island fan-in, then
-  // cluster fan-in to the effective rep, then reps fan in to the root.
-  tree_reduce_members(island_member_list(topo, my_island, root_island, root),
-                      accum, bytes, count, type, &op, kHierReduceTag);
-  {
-    const std::vector<rank_t> leaders =
-        cluster_leader_list(topo, my_cluster, root_island, root);
-    if (contains(leaders, rank_)) {
-      tree_reduce_members(leaders, accum, bytes, count, type, &op,
-                          kHierReduceTag);
-    }
-  }
-  if (!topo.single_cluster()) {
-    const std::vector<rank_t> reps = rep_list(topo, root_cluster, root);
-    if (contains(reps, rank_)) {
-      tree_reduce_members(reps, accum, bytes, count, type, &op,
-                          kHierReduceTag);
-    }
-  }
-}
-
-void Comm::hier_allreduce(void* recv_buf, int count, const Datatype& type,
-                          const Op& op) {
-  // Reduce to the natural root (cluster 0's rep), then release along the
-  // same trees. The caller already seeded recv_buf with this rank's
-  // contribution.
-  const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
-  auto* accum = static_cast<std::byte*>(recv_buf);
-  const rank_t root = coll_topo().rep_of_cluster(0);
-  hier_reduce(accum, bytes, count, type, op, root);
-  hier_bcast(accum, bytes, root);
-}
-
-void Comm::hier_barrier() {
-  // Zero-byte fan-in to cluster 0's rep, zero-byte release back out: the
-  // reduce/bcast trees with no payload and no operator.
-  const CollTopo& topo = coll_topo();
-  const rank_t root = topo.rep_of_cluster(0);
-  hier_reduce(nullptr, 0, 0, Datatype::byte(), Op::max(), root);
-  hier_bcast(nullptr, 0, root);
-}
-
 // --- Modeled NIC offload ------------------------------------------------
 
 void Comm::offload_barrier() {
   const CollTopo& topo = coll_topo();
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(
-           static_cast<std::uint32_t>(shared_->context))
-       << 32) |
-      (shared_->next_offload_seq(rank_) & 0xffffffffu);
+  const std::uint64_t key = shared_->next_offload_key(rank_);
   const int my_island = topo.island_of[static_cast<std::size_t>(rank_)];
   const int leaders = static_cast<int>(topo.islands.size());
 
-  // Host side: island fan-in to the leader, exactly like hier_barrier's
-  // innermost level.
-  const auto& members =
-      topo.islands[static_cast<std::size_t>(my_island)].members;
-  tree_reduce_members(members, nullptr, 0, 0, Datatype::byte(), nullptr,
-                      kHierBarrierTag);
+  // Host side: island fan-in to the leader, like the hierarchical
+  // barrier's innermost level.
+  const TreeEdges island = binomial_edges(
+      topo.islands[static_cast<std::size_t>(my_island)].members, rank_);
+  CollSchedule fan_in;
+  append_tree_reduce(fan_in, island, 0, 0, kBarrierTag);
+  run_schedule(fan_in);
 
   if (rank_ == topo.leader_of_island(my_island)) {
     // NIC side: post the combine descriptor, let the modeled firmware
@@ -433,16 +254,14 @@ void Comm::offload_barrier() {
   }
 
   // Release within the island.
-  tree_bcast_members(members, nullptr, 0, kHierBarrierTag);
+  CollSchedule release;
+  append_tree_bcast(release, island, 0, kBarrierTag);
+  run_schedule(release);
 }
 
 void Comm::offload_bcast(std::byte* wire, std::size_t bytes, rank_t root) {
   const CollTopo& topo = coll_topo();
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(
-           static_cast<std::uint32_t>(shared_->context))
-       << 32) |
-      (shared_->next_offload_seq(rank_) & 0xffffffffu);
+  const std::uint64_t key = shared_->next_offload_key(rank_);
   const int root_island = topo.island_of[static_cast<std::size_t>(root)];
   const int my_island = topo.island_of[static_cast<std::size_t>(rank_)];
   const int leaders = static_cast<int>(topo.islands.size());
@@ -478,8 +297,13 @@ void Comm::offload_bcast(std::byte* wire, std::size_t bytes, rank_t root) {
   }
 
   // Host side: release within the island (root's island re-rooted at it).
-  tree_bcast_members(island_member_list(topo, my_island, root_island, root),
-                     wire, bytes, kHierBcastTag);
+  CollSchedule release;
+  append_tree_bcast(
+      release,
+      binomial_edges(island_member_list(topo, my_island, root_island, root),
+                     rank_),
+      bytes, kBcastTag);
+  run_schedule(release, wire);
 }
 
 }  // namespace madmpi::mpi

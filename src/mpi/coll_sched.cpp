@@ -1,16 +1,19 @@
-// Nonblocking collectives as progress-engine-driven schedules.
+// Nonblocking collectives: the nonblocking runner of the collective
+// schedules (coll_schedule.hpp).
 //
-// Each MPI_Ibcast/Iallreduce/Ibarrier builds a per-rank state machine and
-// returns immediately; the machine advances from RequestState completion
-// hooks — i.e. from whatever context completes the underlying transfer (a
-// ch_mad poller, an smp sender, a fiber resume) — never from a hidden
-// blocking call. That makes the schedules engine-neutral: the threaded and
-// sharded engines drive them identically.
+// Each MPI_Ibcast/Iallreduce/Ibarrier resolves its algorithm exactly like
+// the blocking collective, builds the same per-rank schedule and returns
+// immediately; the schedule advances from RequestState completion hooks —
+// i.e. from whatever context completes the underlying transfer (a ch_mad
+// poller, an smp sender, a fiber resume) — never from a hidden blocking
+// call. That makes the runner engine-neutral: the threaded and sharded
+// engines drive it identically.
 //
 // The pump: `pending_` counts outstanding tracked sub-operations plus one
 // "issuing token" held while a round is being posted. Completions decrement;
-// whoever drops it to zero advances the machine to the next round. Rounds
-// are issued outside the schedule mutex, and every sub-operation primitive
+// whoever drops it to zero advances to the next round. A round is one step,
+// or a run of consecutive send-only steps (a tree node's fan-outs over
+// several levels go out together). Every sub-operation primitive
 // (coll_isend/coll_irecv) is non-blocking by construction — eager completes
 // inline, rendezvous detaches — so hooks never stall their completer.
 //
@@ -21,12 +24,12 @@
 // the traffic. The window recycles after 64 concurrent instances, far past
 // any sane outstanding-op count. Blocking collectives use tags 1..8; the
 // instance space starts at 100, so the two never collide.
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "mpi/coll_schedule.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/comm_shared.hpp"
 
@@ -41,93 +44,44 @@ int icoll_instance_tag(std::uint64_t seq) {
   return kIcollTagBase + static_cast<int>(seq % kIcollTagWindow);
 }
 
-/// Binomial parent/children of `rank` within an explicit member list
-/// (members[0] is the tree root). Merges across calls: the first list in
-/// which the rank is a non-root member supplies the parent; children
-/// accumulate from every list (a leader receives once, then feeds every
-/// tree it roots).
-struct BcastEdges {
-  rank_t parent = kInvalidRank;
-  std::vector<rank_t> children;
-};
-
-/// Flat fan-out edges from members[0] — the interconnect level of the
-/// hierarchical tree, mirroring the blocking linear_bcast_members (one
-/// wire serialization on the deepest path instead of log2(reps)).
-void linear_edges(const std::vector<rank_t>& members, rank_t rank,
-                  BcastEdges& edges) {
-  if (members.size() <= 1) return;
-  if (rank == members.front()) {
-    edges.children.insert(edges.children.end(), members.begin() + 1,
-                          members.end());
-  } else if (std::find(members.begin(), members.end(), rank) !=
-                 members.end() &&
-             edges.parent == kInvalidRank) {
-    edges.parent = members.front();
-  }
-}
-
-void binomial_edges(const std::vector<rank_t>& members, rank_t rank,
-                    BcastEdges& edges) {
-  const auto it = std::find(members.begin(), members.end(), rank);
-  if (it == members.end()) return;
-  const int n = static_cast<int>(members.size());
-  const int me = static_cast<int>(it - members.begin());
-  int mask = 1;
-  while (mask < n) {
-    if (me & mask) {
-      if (edges.parent == kInvalidRank) {
-        edges.parent = members[static_cast<std::size_t>(me & ~mask)];
-      }
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (me + mask < n) {
-      edges.children.push_back(members[static_cast<std::size_t>(me + mask)]);
-    }
-    mask >>= 1;
-  }
-}
-
 }  // namespace
 
-/// One in-flight nonblocking collective on one rank. Owns the staging
-/// buffers and the user-facing request; self-keeps-alive via the shared_ptr
-/// captured in each completion hook.
+/// One in-flight nonblocking collective on one rank. Owns the schedule,
+/// its scratch area and the user-facing request; self-keeps-alive via the
+/// shared_ptr captured in each completion hook.
 class IcollSchedule : public std::enable_shared_from_this<IcollSchedule> {
  public:
-  static Request start_bcast(Comm& comm, void* buf, int count,
-                             const Datatype& type, rank_t root);
-  static Request start_allreduce(Comm& comm, const void* send_buf,
-                                 void* recv_buf, int count,
-                                 const Datatype& type, const Op& op);
-  static Request start_barrier(Comm& comm);
-
-  IcollSchedule(const Comm& comm, int tag)
+  /// `type` and `op` serve the schedule's reduction steps, if any.
+  IcollSchedule(const Comm& comm, CollSchedule schedule,
+                const Datatype& type = Datatype::byte(),
+                const Op& op = Op::sum())
       : comm_(comm),
-        tag_(tag),
+        tag_(icoll_instance_tag(comm.shared_->next_icoll_seq(comm.rank()))),
+        schedule_(std::move(schedule)),
+        scratch_(schedule_.scratch_bytes),
+        type_(type),
+        op_(op),
         user_(std::make_shared<RequestState>(comm_.my_node())) {}
 
- private:
-  enum class Stage {
-    // bcast
-    kBcastRecv,
-    kBcastSend,
-    // allreduce
-    kFoldSend,      // folded-out odd rank: contribution sent, awaiting result
-    kFoldRecv,      // even fold partner: absorbing the odd rank's data
-    kExchange,      // recursive-doubling rounds over the pof2 core
-    kUnfoldSend,    // even fold partner returns the result
-    kUnfoldRecv,    // folded-out odd rank receives the result
-    // barrier
-    kDissemination,
-    kDone,
-  };
+  /// Run the schedule over `data`; the request completes after its last
+  /// step.
+  Request start(std::byte* data) {
+    data_ = data;
+    advance();
+    return Request(user_);
+  }
 
-  // --- pump ---
+  /// A bcast of a non-contiguous type runs over packed staging and
+  /// unpacks into the user buffer once every step succeeded.
+  std::vector<std::byte> staging;
+  void* unpack_to = nullptr;
+  int unpack_count = 0;
+
+ private:
+  std::byte* at(const CollXfer& xfer) {
+    return (xfer.buf == CollBuf::kData ? data_ : scratch_.data()) +
+           xfer.offset;
+  }
 
   void track(Request request) {
     {
@@ -139,335 +93,98 @@ class IcollSchedule : public std::enable_shared_from_this<IcollSchedule> {
         [self](const MpiStatus& status) { self->on_done(status); });
   }
 
-  /// Hold the issuing token while posting a round so an inline completion
-  /// (eager send) cannot advance the machine mid-post.
-  void begin_round() {
+  /// Drop one pending unit; true when it was the last, so the caller now
+  /// owns the next round.
+  bool release(const MpiStatus& status) {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++pending_;
+    if (status.error != ErrorCode::kOk && error_ == ErrorCode::kOk) {
+      error_ = status.error;
+    }
+    return --pending_ == 0;
   }
-  void end_round() { on_done(MpiStatus{}); }
 
   void on_done(const MpiStatus& status) {
-    bool fire = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (status.error != ErrorCode::kOk && error_ == ErrorCode::kOk) {
-        error_ = status.error;
-      }
-      fire = (--pending_ == 0);
-    }
-    if (fire) advance();
-  }
-
-  void finish() {
-    stage_ = Stage::kDone;
-    MpiStatus status;
-    status.error = error_;
-    user_->complete(status);
+    if (release(status)) advance();
   }
 
   void advance();
-
-  // --- per-kind rounds (each posts under the issuing token) ---
-
-  void bcast_post_recv();
-  void bcast_post_sends();
-  void bcast_finish();
-  void allreduce_post_fold();
-  void allreduce_post_round();
-  void allreduce_post_unfold();
-  void allreduce_absorb();
-  void barrier_post_round();
+  void finish();
 
   Comm comm_;
   const int tag_;
+  CollSchedule schedule_;
+  std::vector<std::byte> scratch_;
+  std::byte* data_ = nullptr;
+  Datatype type_;
+  Op op_;
   std::shared_ptr<RequestState> user_;
 
   std::mutex mutex_;
   int pending_ = 0;
   ErrorCode error_ = ErrorCode::kOk;
-  Stage stage_ = Stage::kDone;
-
-  // bcast state
-  void* user_buf_ = nullptr;
-  int count_ = 0;
-  Datatype type_ = Datatype::byte();
-  bool staged_ = false;
-  bool is_root_ = false;
-  std::vector<std::byte> wire_;
-  std::byte* payload_ = nullptr;
-  std::size_t bytes_ = 0;
-  BcastEdges edges_;
-
-  // allreduce state
-  Op op_ = Op::sum();
-  std::byte* accum_ = nullptr;
-  std::vector<std::byte> incoming_;
-  int pof2_ = 1;
-  int rem_ = 0;
-  int core_rank_ = -1;
-  int mask_ = 1;
-  bool absorb_pending_ = false;
-
-  // barrier state
-  int barrier_mask_ = 1;
+  // The round in flight is steps [first_, next_).
+  std::size_t first_ = 0;
+  std::size_t next_ = 0;
 };
 
-// --- state machine -------------------------------------------------------
-
 void IcollSchedule::advance() {
-  // Runs with pending_ == 0: nothing else is in flight, so the stage
-  // transitions race-free. A recorded error short-circuits the remaining
-  // rounds — no sub-operation is outstanding, so finishing now is safe.
-  if (error_ != ErrorCode::kOk) {
-    finish();
-    return;
-  }
-  switch (stage_) {
-    case Stage::kBcastRecv:
-      bcast_post_sends();
-      break;
-    case Stage::kBcastSend:
-      bcast_finish();
-      break;
-    case Stage::kFoldSend:
-      // Contribution folded into the even partner; wait for the result.
-      stage_ = Stage::kUnfoldRecv;
-      begin_round();
-      track(comm_.coll_irecv(accum_, bytes_, comm_.rank() - 1, tag_));
-      end_round();
-      break;
-    case Stage::kFoldRecv:
-      allreduce_absorb();
-      allreduce_post_round();
-      break;
-    case Stage::kExchange:
-      allreduce_absorb();
-      mask_ <<= 1;
-      allreduce_post_round();
-      break;
-    case Stage::kUnfoldSend:
-    case Stage::kUnfoldRecv:
+  // Runs with pending_ == 0: nothing else is in flight, so the round
+  // transitions race-free. A round whose sub-operations all completed
+  // inline loops here instead of recursing.
+  const std::vector<CollStep>& steps = schedule_.steps;
+  do {
+    // A recorded error short-circuits the remaining rounds — no
+    // sub-operation is outstanding, so finishing now is safe.
+    if (error_ != ErrorCode::kOk) {
       finish();
-      break;
-    case Stage::kDissemination:
-      barrier_mask_ <<= 1;
-      barrier_post_round();
-      break;
-    case Stage::kDone:
-      break;
-  }
+      return;
+    }
+    for (std::size_t i = first_; i < next_; ++i) {
+      const CollStep& step = steps[i];
+      // The send half lends the payload to the wire without staging, but
+      // only reports completion after the bytes are injected (eager) or
+      // transferred (rendezvous), so combining into it here is safe.
+      if (step.reduce_count > 0) {
+        op_.apply(scratch_.data(), data_ + step.reduce_offset,
+                  step.reduce_count, type_);
+      }
+    }
+    if (next_ == steps.size()) {
+      finish();
+      return;
+    }
+    first_ = next_++;
+    if (!steps[first_].recv) {
+      while (next_ < steps.size() && !steps[next_].recv) ++next_;
+    }
+    // Hold the issuing token while posting so an inline completion (eager
+    // send, already-arrived receive) cannot advance mid-post.
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++pending_;
+    }
+    for (std::size_t i = first_; i < next_; ++i) {
+      const CollStep& step = steps[i];
+      if (step.recv) {
+        track(comm_.coll_irecv(at(*step.recv), step.recv->bytes,
+                               step.recv->peer, tag_));
+      }
+      for (const CollXfer& send : step.sends) {
+        track(comm_.coll_isend(at(send), send.bytes, send.peer, tag_));
+      }
+    }
+  } while (release(MpiStatus{}));
 }
 
-// --- ibcast --------------------------------------------------------------
-
-void IcollSchedule::bcast_post_recv() {
-  stage_ = Stage::kBcastRecv;
-  begin_round();
-  if (edges_.parent != kInvalidRank) {
-    track(comm_.coll_irecv(payload_, bytes_, edges_.parent, tag_));
-  }
-  end_round();
-}
-
-void IcollSchedule::bcast_post_sends() {
-  stage_ = Stage::kBcastSend;
-  begin_round();
-  for (rank_t child : edges_.children) {
-    track(comm_.coll_isend(payload_, bytes_, child, tag_));
-  }
-  end_round();
-}
-
-void IcollSchedule::bcast_finish() {
-  if (staged_ && !is_root_) {
+void IcollSchedule::finish() {
+  if (error_ == ErrorCode::kOk && unpack_to != nullptr) {
     // Unpack on the completing context — the buffer hand-off to the user
     // happens at wait/test, which orders after this hook's completion.
-    type_.unpack(payload_, count_, user_buf_);
+    type_.unpack(data_, unpack_count, unpack_to);
   }
-  finish();
-}
-
-Request IcollSchedule::start_bcast(Comm& comm, void* buf, int count,
-                                   const Datatype& type, rank_t root) {
-  const std::uint64_t seq = comm.shared_->next_icoll_seq(comm.rank());
-  auto sched =
-      std::make_shared<IcollSchedule>(comm, icoll_instance_tag(seq));
-  sched->user_buf_ = buf;
-  sched->count_ = count;
-  sched->type_ = type;
-  sched->is_root_ = comm.rank() == root;
-  sched->bytes_ = type.size() * static_cast<std::size_t>(count);
-  if (type.is_contiguous()) {
-    sched->payload_ = static_cast<std::byte*>(buf);
-  } else {
-    sched->staged_ = true;
-    sched->wire_.resize(sched->bytes_);
-    sched->payload_ = sched->wire_.data();
-    if (sched->is_root_) type.pack(buf, count, sched->payload_);
-  }
-
-  // The tree shape follows the same resolution as the blocking bcast; the
-  // NIC offload is a blocking rendezvous, so its resolution falls back to
-  // the hierarchical tree here.
-  const BcastAlgorithm algorithm = comm.resolve_bcast(sched->bytes_);
-  if (algorithm == BcastAlgorithm::kLinear) {
-    if (sched->is_root_) {
-      for (rank_t r = 0; r < comm.size(); ++r) {
-        if (r != root) sched->edges_.children.push_back(r);
-      }
-    } else {
-      sched->edges_.parent = root;
-    }
-  } else if (algorithm == BcastAlgorithm::kHierarchical ||
-             algorithm == BcastAlgorithm::kOffload) {
-    const CollTopo& topo = comm.coll_topo();
-    const int root_island = topo.island_of[static_cast<std::size_t>(root)];
-    const int root_cluster =
-        topo.islands[static_cast<std::size_t>(root_island)].cluster;
-    const int my_island =
-        topo.island_of[static_cast<std::size_t>(comm.rank())];
-    const int my_cluster =
-        topo.islands[static_cast<std::size_t>(my_island)].cluster;
-    if (!topo.single_cluster()) {
-      linear_edges(rep_list(topo, root_cluster, root), comm.rank(),
-                   sched->edges_);
-    }
-    binomial_edges(cluster_leader_list(topo, my_cluster, root_island, root),
-                   comm.rank(), sched->edges_);
-    binomial_edges(island_member_list(topo, my_island, root_island, root),
-                   comm.rank(), sched->edges_);
-  } else {
-    // Flat binomial over comm ranks rotated so the root maps to position 0.
-    std::vector<rank_t> members(static_cast<std::size_t>(comm.size()));
-    for (int i = 0; i < comm.size(); ++i) {
-      members[static_cast<std::size_t>(i)] = (root + i) % comm.size();
-    }
-    binomial_edges(members, comm.rank(), sched->edges_);
-  }
-
-  if (sched->is_root_) {
-    sched->bcast_post_sends();
-  } else {
-    sched->bcast_post_recv();
-  }
-  return Request(sched->user_);
-}
-
-// --- iallreduce ----------------------------------------------------------
-
-void IcollSchedule::allreduce_absorb() {
-  if (absorb_pending_) {
-    // Both halves of the exchange completed. The send lends the
-    // accumulator to the wire without staging, but it only reports
-    // completion after the bytes are injected (eager) or transferred
-    // (rendezvous), so mutating the accumulator here is safe.
-    op_.apply(incoming_.data(), accum_, count_, type_);
-    absorb_pending_ = false;
-  }
-}
-
-void IcollSchedule::allreduce_post_fold() {
-  const rank_t rank = comm_.rank();
-  if (rank % 2 == 1) {
-    stage_ = Stage::kFoldSend;
-    begin_round();
-    track(comm_.coll_isend(accum_, bytes_, rank - 1, tag_));
-    end_round();
-  } else {
-    stage_ = Stage::kFoldRecv;
-    absorb_pending_ = true;
-    begin_round();
-    track(comm_.coll_irecv(incoming_.data(), bytes_, rank + 1, tag_));
-    end_round();
-  }
-}
-
-void IcollSchedule::allreduce_post_round() {
-  if (mask_ >= pof2_) {
-    allreduce_post_unfold();
-    return;
-  }
-  stage_ = Stage::kExchange;
-  const int partner_core = core_rank_ ^ mask_;
-  const rank_t partner = partner_core < rem_
-                             ? static_cast<rank_t>(partner_core * 2)
-                             : static_cast<rank_t>(partner_core + rem_);
-  absorb_pending_ = true;
-  begin_round();
-  track(comm_.coll_irecv(incoming_.data(), bytes_, partner, tag_));
-  track(comm_.coll_isend(accum_, bytes_, partner, tag_));
-  end_round();
-}
-
-void IcollSchedule::allreduce_post_unfold() {
-  const rank_t rank = comm_.rank();
-  if (rank < 2 * rem_ && rank % 2 == 0) {
-    stage_ = Stage::kUnfoldSend;
-    begin_round();
-    track(comm_.coll_isend(accum_, bytes_, rank + 1, tag_));
-    end_round();
-  } else {
-    finish();
-  }
-}
-
-Request IcollSchedule::start_allreduce(Comm& comm, const void* send_buf,
-                                       void* recv_buf, int count,
-                                       const Datatype& type, const Op& op) {
-  MADMPI_CHECK_MSG(type.is_contiguous(),
-                   "iallreduce requires a contiguous datatype");
-  const std::uint64_t seq = comm.shared_->next_icoll_seq(comm.rank());
-  auto sched =
-      std::make_shared<IcollSchedule>(comm, icoll_instance_tag(seq));
-  sched->count_ = count;
-  sched->type_ = type;
-  sched->op_ = op;
-  sched->bytes_ = type.size() * static_cast<std::size_t>(count);
-  sched->accum_ = static_cast<std::byte*>(recv_buf);
-  std::memcpy(sched->accum_, send_buf, sched->bytes_);
-  sched->incoming_.resize(sched->bytes_);
-
-  // Flat recursive doubling with the standard pre/post fold for
-  // non-power-of-two sizes (the same schedule as the blocking algorithm,
-  // unrolled into completion-driven rounds).
-  const int n = comm.size();
-  while (sched->pof2_ * 2 <= n) sched->pof2_ *= 2;
-  sched->rem_ = n - sched->pof2_;
-  const rank_t rank = comm.rank();
-  if (rank < 2 * sched->rem_) {
-    sched->core_rank_ = rank % 2 == 1 ? -1 : rank / 2;
-    sched->allreduce_post_fold();
-  } else {
-    sched->core_rank_ = rank - sched->rem_;
-    sched->allreduce_post_round();
-  }
-  return Request(sched->user_);
-}
-
-// --- ibarrier ------------------------------------------------------------
-
-void IcollSchedule::barrier_post_round() {
-  if (barrier_mask_ >= comm_.size()) {
-    finish();
-    return;
-  }
-  stage_ = Stage::kDissemination;
-  const int n = comm_.size();
-  const rank_t to = (comm_.rank() + barrier_mask_) % n;
-  const rank_t from = (comm_.rank() - barrier_mask_ + n) % n;
-  begin_round();
-  track(comm_.coll_irecv(nullptr, 0, from, tag_));
-  track(comm_.coll_isend(nullptr, 0, to, tag_));
-  end_round();
-}
-
-Request IcollSchedule::start_barrier(Comm& comm) {
-  const std::uint64_t seq = comm.shared_->next_icoll_seq(comm.rank());
-  auto sched =
-      std::make_shared<IcollSchedule>(comm, icoll_instance_tag(seq));
-  sched->barrier_post_round();
-  return Request(sched->user_);
+  MpiStatus status;
+  status.error = error_;
+  user_->complete(status);
 }
 
 // --- public entry points -------------------------------------------------
@@ -498,7 +215,20 @@ Request Comm::ibcast(void* buf, int count, const Datatype& type,
     // time, mirroring the blocking collectives' explicit FT fallback.
     return completed_request(my_node(), bcast(buf, count, type, root).code());
   }
-  return IcollSchedule::start_bcast(*this, buf, count, type, root);
+  const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
+  auto sched = std::make_shared<IcollSchedule>(
+      *this, bcast_schedule(resolve_bcast(bytes), coll_topo(), rank_, size(),
+                            root, bytes),
+      type);
+  if (type.is_contiguous()) return sched->start(static_cast<std::byte*>(buf));
+  sched->staging.resize(bytes);
+  if (rank_ == root) {
+    type.pack(buf, count, sched->staging.data());
+  } else {
+    sched->unpack_to = buf;
+    sched->unpack_count = count;
+  }
+  return sched->start(sched->staging.data());
 }
 
 Request Comm::iallreduce(const void* send_buf, void* recv_buf, int count,
@@ -507,17 +237,24 @@ Request Comm::iallreduce(const void* send_buf, void* recv_buf, int count,
     raise_error(entry);
     return completed_request(my_node(), entry.code());
   }
+  const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
   if (size() == 1) {
-    std::memcpy(recv_buf, send_buf,
-                type.size() * static_cast<std::size_t>(count));
+    std::memcpy(recv_buf, send_buf, bytes);
     return completed_request(my_node(), ErrorCode::kOk);
   }
   if (ft_should_wrap()) {
     return completed_request(
         my_node(), allreduce(send_buf, recv_buf, count, type, op).code());
   }
-  return IcollSchedule::start_allreduce(*this, send_buf, recv_buf, count,
-                                        type, op);
+  MADMPI_CHECK_MSG(type.is_contiguous(),
+                   "iallreduce requires a contiguous datatype");
+  std::memcpy(recv_buf, send_buf, bytes);
+  auto sched = std::make_shared<IcollSchedule>(
+      *this,
+      allreduce_schedule(resolve_allreduce(bytes, count), resolve_bcast(bytes),
+                         coll_topo(), rank_, size(), type.size(), count),
+      type, op);
+  return sched->start(static_cast<std::byte*>(recv_buf));
 }
 
 Request Comm::ibarrier() {
@@ -529,7 +266,9 @@ Request Comm::ibarrier() {
   if (ft_should_wrap()) {
     return completed_request(my_node(), barrier().code());
   }
-  return IcollSchedule::start_barrier(*this);
+  auto sched = std::make_shared<IcollSchedule>(
+      *this, barrier_schedule(resolve_barrier(), coll_topo(), rank_, size()));
+  return sched->start(nullptr);
 }
 
 }  // namespace madmpi::mpi

@@ -69,8 +69,8 @@ std::shared_ptr<const CollTopo> build_coll_topo(
 // Member-list construction for the hierarchical trees, re-rooted at the
 // user's root: the root stands in for its island's leader and its
 // cluster's rep, so data originates/terminates at the root without an
-// extra hop. Shared by the blocking engine (coll_hier.cpp) and the
-// nonblocking schedules (coll_sched.cpp).
+// extra hop. Read by the hierarchical schedule builders
+// (coll_schedule.cpp) and the offloaded collectives (coll_hier.cpp).
 
 /// Leaders of one cluster's islands, effective rep first.
 std::vector<rank_t> cluster_leader_list(const CollTopo& topo, int cluster,

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <vector>
 
+#include "mpi/coll_schedule.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/comm_shared.hpp"
 #include "mpi/ft_internal.hpp"
@@ -19,10 +20,8 @@ namespace madmpi::mpi {
 namespace {
 
 // Per-algorithm tags (unique within the collective context; collectives on
-// one communicator are serialized by MPI semantics).
-constexpr int kBarrierTag = 1;
-constexpr int kBcastTag = 2;
-constexpr int kReduceTag = 3;
+// one communicator are serialized by MPI semantics). Tags 1..3 belong to
+// the scheduled collectives (coll_schedule.hpp).
 constexpr int kGatherTag = 4;
 constexpr int kScatterTag = 5;
 constexpr int kAllgatherTag = 6;
@@ -107,11 +106,9 @@ void Comm::coll_send_multi(const std::vector<rank_t>& children,
   for (Request& request : requests) coll_wait(*request.state());
 }
 
-void Comm::coll_recv(void* buf, std::size_t bytes, rank_t source, int tag) {
-  if (ft::capture_active() && rank_unreachable(source, rank_)) {
-    ft::record(ErrorCode::kProcFailed);
-    return;
-  }
+std::shared_ptr<RequestState> Comm::post_coll_recv(void* buf,
+                                                    std::size_t bytes,
+                                                    rank_t source, int tag) {
   auto state = std::make_shared<RequestState>(my_node());
   PostedRecv posted;
   posted.context = shared_->context + 1;
@@ -129,7 +126,15 @@ void Comm::coll_recv(void* buf, std::size_t bytes, rank_t source, int tag) {
         posted.posted_at + collective_config().agree_timeout_us;
   }
   my_context().post_recv(std::move(posted));
-  coll_wait(*state);
+  return state;
+}
+
+void Comm::coll_recv(void* buf, std::size_t bytes, rank_t source, int tag) {
+  if (ft::capture_active() && rank_unreachable(source, rank_)) {
+    ft::record(ErrorCode::kProcFailed);
+    return;
+  }
+  coll_wait(*post_coll_recv(buf, bytes, source, tag));
 }
 
 void Comm::coll_sendrecv(const void* send, std::size_t send_bytes,
@@ -142,25 +147,41 @@ void Comm::coll_sendrecv(const void* send, std::size_t send_bytes,
     coll_send(send, send_bytes, dest, tag);
     return;
   }
-  auto state = std::make_shared<RequestState>(my_node());
-  PostedRecv posted;
-  posted.context = shared_->context + 1;
-  posted.source = source;
-  posted.tag = ft::remap_tag(tag);
-  posted.buffer = recv;
-  posted.type = Datatype::byte();
-  posted.count = static_cast<int>(recv_bytes);
-  posted.capacity_bytes = recv_bytes;
-  posted.request = state;
-  posted.source_global = global_rank_of(source);
-  posted.posted_at = my_node().clock().now();
-  if (ft::capture_active()) {
-    posted.ft_deadline_us =
-        posted.posted_at + collective_config().agree_timeout_us;
-  }
-  my_context().post_recv(std::move(posted));
+  // Post the receive before sending to avoid rendezvous cross-blocking.
+  auto state = post_coll_recv(recv, recv_bytes, source, tag);
   coll_send(send, send_bytes, dest, tag);
   coll_wait(*state);
+}
+
+void Comm::run_schedule(const CollSchedule& schedule, std::byte* data,
+                        const Datatype& type, const Op* op) {
+  std::vector<std::byte> scratch(schedule.scratch_bytes);
+  auto at = [&](const CollXfer& xfer) {
+    return (xfer.buf == CollBuf::kData ? data : scratch.data()) + xfer.offset;
+  };
+  std::vector<rank_t> children;
+  for (const CollStep& step : schedule.steps) {
+    if (!step.recv) {
+      children.clear();
+      for (const CollXfer& send : step.sends) children.push_back(send.peer);
+      const CollXfer& first = step.sends.front();
+      coll_send_multi(children, at(first), first.bytes, step.tag);
+    } else if (step.sends.empty()) {
+      coll_recv(at(*step.recv), step.recv->bytes, step.recv->peer, step.tag);
+    } else {
+      const CollXfer& send = step.sends.front();
+      coll_sendrecv(at(send), send.bytes, send.peer, at(*step.recv),
+                    step.recv->bytes, step.recv->peer, step.tag);
+    }
+    if (step.reduce_count > 0) {
+      op->apply(scratch.data(), data + step.reduce_offset, step.reduce_count,
+                type);
+      const std::size_t bytes =
+          type.size() * static_cast<std::size_t>(step.reduce_count);
+      my_node().clock().advance(static_cast<double>(bytes) *
+                                sim::kHostCopyUsPerByte);
+    }
+  }
 }
 
 void Comm::gather_packed_to_root(const void* send_buf, int send_count,
@@ -209,91 +230,18 @@ Status Comm::barrier() {
     return ft_collective([&] { return barrier(); });
   }
   if (size() > 1) {
-    switch (resolve_barrier()) {
-      case BarrierAlgorithm::kHierarchical:
-        try {
-          hier_barrier();
-        } catch (const CollAbort& abort) {
-          return raise_error(abort.status);
-        }
-        return Status::ok();
-      case BarrierAlgorithm::kOffload:
-        try {
-          offload_barrier();
-        } catch (const CollAbort& abort) {
-          return raise_error(abort.status);
-        }
-        return Status::ok();
-      default:
-        break;  // dissemination below
-    }
-  }
-  try {
-    // Dissemination barrier: log2(size) rounds of zero-byte exchanges.
-    const int n = size();
-    for (int mask = 1; mask < n; mask <<= 1) {
-      const rank_t to = (rank_ + mask) % n;
-      const rank_t from = (rank_ - mask + n) % n;
-
-      if (ft::capture_active() && rank_unreachable(from, rank_)) {
-        ft::record(ErrorCode::kProcFailed);
-        coll_send(nullptr, 0, to, kBarrierTag);
-        continue;
+    try {
+      const BarrierAlgorithm algorithm = resolve_barrier();
+      if (algorithm == BarrierAlgorithm::kOffload) {
+        offload_barrier();
+      } else {
+        run_schedule(barrier_schedule(algorithm, coll_topo(), rank_, size()));
       }
-      auto state = std::make_shared<RequestState>(my_node());
-      PostedRecv posted;
-      posted.context = shared_->context + 1;
-      posted.source = from;
-      posted.tag = ft::remap_tag(kBarrierTag);
-      posted.request = state;
-      posted.source_global = global_rank_of(from);
-      posted.posted_at = my_node().clock().now();
-      if (ft::capture_active()) {
-        posted.ft_deadline_us =
-            posted.posted_at + collective_config().agree_timeout_us;
-      }
-      my_context().post_recv(std::move(posted));
-
-      coll_send(nullptr, 0, to, kBarrierTag);
-      coll_wait(*state);
+    } catch (const CollAbort& abort) {
+      return raise_error(abort.status);
     }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
   }
   return Status::ok();
-}
-
-void Comm::bcast_binomial(std::byte* wire, std::size_t bytes, rank_t root) {
-  const int n = size();
-  const int vrank = (rank_ - root + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if (vrank & mask) {
-      const rank_t src = ((vrank & ~mask) + root) % n;
-      coll_recv(wire, bytes, src, kBcastTag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  std::vector<rank_t> children;
-  while (mask > 0) {
-    if (vrank + mask < n) {
-      children.push_back((vrank + mask + root) % n);
-    }
-    mask >>= 1;
-  }
-  coll_send_multi(children, wire, bytes, kBcastTag);
-}
-
-void Comm::bcast_linear(std::byte* wire, std::size_t bytes, rank_t root) {
-  if (rank_ == root) {
-    for (rank_t dst = 0; dst < size(); ++dst) {
-      if (dst != root) coll_send(wire, bytes, dst, kBcastTag);
-    }
-  } else {
-    coll_recv(wire, bytes, root, kBcastTag);
-  }
 }
 
 Status Comm::bcast(void* buf, int count, const Datatype& type, rank_t root) {
@@ -320,19 +268,12 @@ Status Comm::bcast(void* buf, int count, const Datatype& type, rank_t root) {
   }
 
   try {
-    switch (resolve_bcast(bytes)) {
-      case BcastAlgorithm::kLinear:
-        bcast_linear(wire, bytes, root);
-        break;
-      case BcastAlgorithm::kHierarchical:
-        hier_bcast(wire, bytes, root);
-        break;
-      case BcastAlgorithm::kOffload:
-        offload_bcast(wire, bytes, root);
-        break;
-      default:
-        bcast_binomial(wire, bytes, root);
-        break;
+    const BcastAlgorithm algorithm = resolve_bcast(bytes);
+    if (algorithm == BcastAlgorithm::kOffload) {
+      offload_bcast(wire, bytes, root);
+    } else {
+      run_schedule(
+          bcast_schedule(algorithm, coll_topo(), rank_, n, root, bytes), wire);
     }
   } catch (const CollAbort& abort) {
     return raise_error(abort.status);
@@ -362,30 +303,14 @@ Status Comm::reduce(const void* send_buf, void* recv_buf, int count,
   // Local accumulator starts as this rank's contribution.
   std::vector<std::byte> accum(bytes);
   std::memcpy(accum.data(), send_buf, bytes);
-  std::vector<std::byte> incoming(bytes);
 
-  const int vrank = (rank_ - root + n) % n;
   try {
-    if (n > 1 && use_hier_reduce(bytes)) {
-      // Reduce rides the allreduce resolution (same communication shape).
-      hier_reduce(accum.data(), bytes, count, type, op, root);
-    } else {
-      for (int mask = 1; mask < n; mask <<= 1) {
-        if (vrank & mask) {
-          const rank_t dst = ((vrank & ~mask) + root) % n;
-          coll_send(accum.data(), bytes, dst, kReduceTag);
-          break;
-        }
-        const int src_v = vrank | mask;
-        if (src_v < n) {
-          const rank_t src = (src_v + root) % n;
-          coll_recv(incoming.data(), bytes, src, kReduceTag);
-          op.apply(incoming.data(), accum.data(), count, type);
-          my_node().clock().advance(static_cast<double>(bytes) *
-                                    sim::kHostCopyUsPerByte);
-        }
-      }
-    }
+    // Reduce rides the allreduce resolution (same communication shape).
+    const bool hierarchical =
+        resolve_allreduce(bytes) == AllreduceAlgorithm::kHierarchical;
+    run_schedule(reduce_schedule(hierarchical, coll_topo(), rank_, n, root,
+                                 type.size(), count),
+                 accum.data(), type, &op);
   } catch (const CollAbort& abort) {
     return raise_error(abort.status);
   }
@@ -393,119 +318,6 @@ Status Comm::reduce(const void* send_buf, void* recv_buf, int count,
     std::memcpy(recv_buf, accum.data(), bytes);
   }
   return Status::ok();
-}
-
-void Comm::allreduce_recursive_doubling(void* recv_buf, int count,
-                                        const Datatype& type, const Op& op) {
-  // Classic recursive doubling, with the standard pre/post folding step
-  // for non-power-of-two sizes: the `rem` highest "extra" ranks fold their
-  // contribution into a partner, sit out the log2 rounds, and get the
-  // result back at the end.
-  const int n = size();
-  const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
-  std::vector<std::byte> incoming(bytes);
-  auto* accum = static_cast<std::byte*>(recv_buf);
-
-  int pof2 = 1;
-  while (pof2 * 2 <= n) pof2 *= 2;
-  const int rem = n - pof2;
-
-  int my_core_rank;  // rank within the power-of-two core, -1 if folded out
-  if (rank_ < 2 * rem) {
-    if (rank_ % 2 == 1) {
-      // Odd ranks in the folded region send their data and wait.
-      coll_send(accum, bytes, rank_ - 1, kReduceTag);
-      my_core_rank = -1;
-    } else {
-      coll_recv(incoming.data(), bytes, rank_ + 1, kReduceTag);
-      op.apply(incoming.data(), accum, count, type);
-      my_core_rank = rank_ / 2;
-    }
-  } else {
-    my_core_rank = rank_ - rem;
-  }
-
-  if (my_core_rank >= 0) {
-    for (int mask = 1; mask < pof2; mask <<= 1) {
-      const int partner_core = my_core_rank ^ mask;
-      const rank_t partner = partner_core < rem ? partner_core * 2
-                                                : partner_core + rem;
-      coll_sendrecv(accum, bytes, partner, incoming.data(), bytes, partner,
-                    kReduceTag);
-      op.apply(incoming.data(), accum, count, type);
-      my_node().clock().advance(static_cast<double>(bytes) *
-                                sim::kHostCopyUsPerByte);
-    }
-  }
-
-  // Post step: return the result to the folded-out odd ranks.
-  if (rank_ < 2 * rem) {
-    if (rank_ % 2 == 0) {
-      coll_send(accum, bytes, rank_ + 1, kReduceTag);
-    } else {
-      coll_recv(accum, bytes, rank_ - 1, kReduceTag);
-    }
-  }
-}
-
-void Comm::allreduce_ring(void* recv_buf, int count, const Datatype& type,
-                          const Op& op) {
-  // Bandwidth-optimal ring: a reduce-scatter pass (n-1 steps over count/n
-  // chunks) followed by an allgather pass (n-1 steps). Each rank sends
-  // 2*(n-1)/n of the data total, independent of n.
-  const int n = size();
-  const std::size_t elem = type.size();
-  auto* accum = static_cast<std::byte*>(recv_buf);
-
-  // Chunk c covers elements [offsets[c], offsets[c+1]).
-  std::vector<int> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (int c = 0; c < n; ++c) {
-    offsets[static_cast<std::size_t>(c) + 1] =
-        offsets[static_cast<std::size_t>(c)] + count / n +
-        (c < count % n ? 1 : 0);
-  }
-  auto chunk_ptr = [&](int c) {
-    return accum + elem * static_cast<std::size_t>(
-                              offsets[static_cast<std::size_t>(c)]);
-  };
-  auto chunk_elems = [&](int c) {
-    return offsets[static_cast<std::size_t>(c) + 1] -
-           offsets[static_cast<std::size_t>(c)];
-  };
-
-  const rank_t right = (rank_ + 1) % n;
-  const rank_t left = (rank_ - 1 + n) % n;
-  std::vector<std::byte> incoming(
-      elem * static_cast<std::size_t>(count / n + 1));
-
-  // Reduce-scatter: after step s, rank r holds the partial reduction of
-  // chunk (r - s) from ranks r-s..r.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_chunk = (rank_ - step + n) % n;
-    const int recv_chunk = (rank_ - step - 1 + n) % n;
-    const std::size_t send_bytes =
-        elem * static_cast<std::size_t>(chunk_elems(send_chunk));
-    const std::size_t recv_bytes =
-        elem * static_cast<std::size_t>(chunk_elems(recv_chunk));
-    coll_sendrecv(chunk_ptr(send_chunk), send_bytes, right, incoming.data(),
-                  recv_bytes, left, kReduceTag);
-    if (chunk_elems(recv_chunk) > 0) {
-      op.apply(incoming.data(), chunk_ptr(recv_chunk),
-               chunk_elems(recv_chunk), type);
-    }
-  }
-
-  // Allgather: circulate the fully-reduced chunks.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_chunk = (rank_ + 1 - step + n) % n;
-    const int recv_chunk = (rank_ - step + n) % n;
-    const std::size_t send_bytes =
-        elem * static_cast<std::size_t>(chunk_elems(send_chunk));
-    const std::size_t recv_bytes =
-        elem * static_cast<std::size_t>(chunk_elems(recv_chunk));
-    coll_sendrecv(chunk_ptr(send_chunk), send_bytes, right,
-                  chunk_ptr(recv_chunk), recv_bytes, left, kReduceTag);
-  }
 }
 
 Status Comm::allreduce(const void* send_buf, void* recv_buf, int count,
@@ -517,12 +329,7 @@ Status Comm::allreduce(const void* send_buf, void* recv_buf, int count,
     return ft_allreduce(send_buf, recv_buf, count, type, op);
   }
   const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
-  AllreduceAlgorithm algorithm = resolve_allreduce(bytes);
-  // The ring needs at least one element per rank to be worthwhile (and
-  // correct chunking); degrade gracefully for tiny payloads.
-  if (algorithm == AllreduceAlgorithm::kRing && count < size()) {
-    algorithm = AllreduceAlgorithm::kRecursiveDoubling;
-  }
+  const AllreduceAlgorithm algorithm = resolve_allreduce(bytes, count);
   if (size() == 1 || algorithm == AllreduceAlgorithm::kReduceBcast) {
     // The inner collectives already routed any failure through the error
     // handler; propagate without raising a second time.
@@ -535,13 +342,11 @@ Status Comm::allreduce(const void* send_buf, void* recv_buf, int count,
                    "allreduce requires a contiguous datatype");
   std::memcpy(recv_buf, send_buf, bytes);
   try {
-    if (algorithm == AllreduceAlgorithm::kHierarchical) {
-      hier_allreduce(recv_buf, count, type, op);
-    } else if (algorithm == AllreduceAlgorithm::kRecursiveDoubling) {
-      allreduce_recursive_doubling(recv_buf, count, type, op);
-    } else {
-      allreduce_ring(recv_buf, count, type, op);
-    }
+    // kReduceBcast ran above, so the release tree argument is unused.
+    run_schedule(allreduce_schedule(algorithm, BcastAlgorithm::kBinomial,
+                                    coll_topo(), rank_, size(), type.size(),
+                                    count),
+                 static_cast<std::byte*>(recv_buf), type, &op);
   } catch (const CollAbort& abort) {
     return raise_error(abort.status);
   }
@@ -763,36 +568,10 @@ Status Comm::allgather(const void* send_buf, int send_count,
   try {
     for (int step = 0; step < n - 1; ++step) {
       const int incoming = (cur - 1 + n) % n;
-      if (ft::capture_active() && rank_unreachable(left, rank_)) {
-        ft::record(ErrorCode::kProcFailed);
-        coll_send(wire.data() + block * static_cast<std::size_t>(cur), block,
-                  right, kAllgatherTag);
-        cur = incoming;
-        continue;
-      }
-      // Post the receive before sending to avoid rendezvous cross-blocking.
-      auto state = std::make_shared<RequestState>(my_node());
-      PostedRecv posted;
-      posted.context = shared_->context + 1;
-      posted.source = left;
-      posted.tag = ft::remap_tag(kAllgatherTag);
-      posted.buffer =
-          wire.data() + block * static_cast<std::size_t>(incoming);
-      posted.type = Datatype::byte();
-      posted.count = static_cast<int>(block);
-      posted.capacity_bytes = block;
-      posted.request = state;
-      posted.source_global = global_rank_of(left);
-      posted.posted_at = my_node().clock().now();
-      if (ft::capture_active()) {
-        posted.ft_deadline_us =
-            posted.posted_at + collective_config().agree_timeout_us;
-      }
-      my_context().post_recv(std::move(posted));
-
-      coll_send(wire.data() + block * static_cast<std::size_t>(cur), block,
-                right, kAllgatherTag);
-      coll_wait(*state);
+      coll_sendrecv(wire.data() + block * static_cast<std::size_t>(cur), block,
+                    right,
+                    wire.data() + block * static_cast<std::size_t>(incoming),
+                    block, left, kAllgatherTag);
       cur = incoming;
     }
   } catch (const CollAbort& abort) {
@@ -860,80 +639,21 @@ Status Comm::allgatherv(const void* send_buf, int send_count,
 Status Comm::alltoall(const void* send_buf, int send_count,
                       const Datatype& send_type, void* recv_buf,
                       int recv_count, const Datatype& recv_type) {
-  if (Status entry = ft_entry_check(); !entry.is_ok()) {
-    return raise_error(entry);
-  }
-  if (ft_should_wrap()) {
-    return ft_collective([&] {
-      return alltoall(send_buf, send_count, send_type, recv_buf, recv_count,
-                      recv_type);
-    });
-  }
+  // The uniform alltoallv: block i at displacement i × count.
   const int n = size();
-  const std::size_t block =
-      send_type.size() * static_cast<std::size_t>(send_count);
-  MADMPI_CHECK_MSG(
-      recv_type.size() * static_cast<std::size_t>(recv_count) == block,
-      "alltoall send/recv type signatures disagree");
-
-  const auto* in = static_cast<const std::byte*>(send_buf);
-  auto* out = static_cast<std::byte*>(recv_buf);
-  const std::size_t in_slot =
-      send_type.extent() * static_cast<std::size_t>(send_count);
-  const std::size_t out_slot =
-      recv_type.extent() * static_cast<std::size_t>(recv_count);
-
-  std::vector<std::byte> send_wire(block);
-  std::vector<std::byte> recv_wire(block);
-
-  // Own block first.
-  send_type.pack(in + in_slot * static_cast<std::size_t>(rank_), send_count,
-                 send_wire.data());
-  recv_type.unpack(send_wire.data(), recv_count,
-                   out + out_slot * static_cast<std::size_t>(rank_));
-
-  // Pairwise exchange: step i pairs (rank+i) with (rank-i).
-  try {
-    for (int i = 1; i < n; ++i) {
-      const rank_t dst = (rank_ + i) % n;
-      const rank_t src = (rank_ - i + n) % n;
-
-      if (ft::capture_active() && rank_unreachable(src, rank_)) {
-        ft::record(ErrorCode::kProcFailed);
-        send_type.pack(in + in_slot * static_cast<std::size_t>(dst),
-                       send_count, send_wire.data());
-        coll_send(send_wire.data(), block, dst, kAlltoallTag);
-        continue;
-      }
-      auto state = std::make_shared<RequestState>(my_node());
-      PostedRecv posted;
-      posted.context = shared_->context + 1;
-      posted.source = src;
-      posted.tag = ft::remap_tag(kAlltoallTag);
-      posted.buffer = recv_wire.data();
-      posted.type = Datatype::byte();
-      posted.count = static_cast<int>(block);
-      posted.capacity_bytes = block;
-      posted.request = state;
-      posted.source_global = global_rank_of(src);
-      posted.posted_at = my_node().clock().now();
-      if (ft::capture_active()) {
-        posted.ft_deadline_us =
-            posted.posted_at + collective_config().agree_timeout_us;
-      }
-      my_context().post_recv(std::move(posted));
-
-      send_type.pack(in + in_slot * static_cast<std::size_t>(dst), send_count,
-                     send_wire.data());
-      coll_send(send_wire.data(), block, dst, kAlltoallTag);
-      coll_wait(*state);
-      recv_type.unpack(recv_wire.data(), recv_count,
-                       out + out_slot * static_cast<std::size_t>(src));
-    }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
+  MADMPI_CHECK_MSG(recv_type.size() * static_cast<std::size_t>(recv_count) ==
+                       send_type.size() * static_cast<std::size_t>(send_count),
+                   "alltoall send/recv type signatures disagree");
+  const std::vector<int> send_counts(static_cast<std::size_t>(n), send_count);
+  const std::vector<int> recv_counts(static_cast<std::size_t>(n), recv_count);
+  std::vector<int> send_displs(static_cast<std::size_t>(n));
+  std::vector<int> recv_displs(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    send_displs[static_cast<std::size_t>(i)] = i * send_count;
+    recv_displs[static_cast<std::size_t>(i)] = i * recv_count;
   }
-  return Status::ok();
+  return alltoallv(send_buf, send_counts, send_displs, send_type, recv_buf,
+                   recv_counts, recv_displs, recv_type);
 }
 
 Status Comm::alltoallv(const void* send_buf, std::span<const int> send_counts,
@@ -987,40 +707,13 @@ Status Comm::alltoallv(const void* send_buf, std::span<const int> send_counts,
       const std::size_t recv_bytes =
           recv_type.size() * static_cast<std::size_t>(recv_counts[src]);
 
-      std::vector<std::byte> recv_wire(recv_bytes);
-      if (ft::capture_active() && rank_unreachable(src, rank_)) {
-        ft::record(ErrorCode::kProcFailed);
-        std::vector<std::byte> skip_wire(send_bytes);
-        send_type.pack(in + send_type.extent() *
-                                static_cast<std::size_t>(send_displs[dst]),
-                       send_counts[dst], skip_wire.data());
-        coll_send(skip_wire.data(), send_bytes, dst, kAlltoallTag);
-        continue;
-      }
-      auto state = std::make_shared<RequestState>(my_node());
-      PostedRecv posted;
-      posted.context = shared_->context + 1;
-      posted.source = src;
-      posted.tag = ft::remap_tag(kAlltoallTag);
-      posted.buffer = recv_wire.data();
-      posted.type = Datatype::byte();
-      posted.count = static_cast<int>(recv_bytes);
-      posted.capacity_bytes = recv_bytes;
-      posted.request = state;
-      posted.source_global = global_rank_of(src);
-      posted.posted_at = my_node().clock().now();
-      if (ft::capture_active()) {
-        posted.ft_deadline_us =
-            posted.posted_at + collective_config().agree_timeout_us;
-      }
-      my_context().post_recv(std::move(posted));
-
       std::vector<std::byte> send_wire(send_bytes);
       send_type.pack(in + send_type.extent() *
                               static_cast<std::size_t>(send_displs[dst]),
                      send_counts[dst], send_wire.data());
-      coll_send(send_wire.data(), send_bytes, dst, kAlltoallTag);
-      coll_wait(*state);
+      std::vector<std::byte> recv_wire(recv_bytes);
+      coll_sendrecv(send_wire.data(), send_bytes, dst, recv_wire.data(),
+                    recv_bytes, src, kAlltoallTag);
       recv_type.unpack(recv_wire.data(), recv_counts[src],
                        out + recv_type.extent() *
                                  static_cast<std::size_t>(recv_displs[src]));

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -22,6 +23,8 @@
 #include "mpi/types.hpp"
 
 namespace madmpi::mpi {
+
+struct CollSchedule;
 
 /// Default for CollectiveConfig::fault_tolerant — the MADMPI_FT_COLLECTIVES
 /// environment knob (off unless set to a truthy value, keeping the
@@ -169,9 +172,12 @@ class Comm {
   /// resolution against the topology digest, the tuner's decision table
   /// and the FT interop rule (FT mode always resolves to the flat
   /// survivable algorithms — the explicit fallback the FT guard test
-  /// pins). Introspection for tests, benches and the tuner smoke.
+  /// pins). Introspection for tests, benches and the tuner smoke. Blocking
+  /// and nonblocking collectives resolve alike. An allreduce of fewer
+  /// elements than ranks degrades the ring to recursive doubling.
   BcastAlgorithm resolve_bcast(std::size_t bytes) const;
-  AllreduceAlgorithm resolve_allreduce(std::size_t bytes) const;
+  AllreduceAlgorithm resolve_allreduce(
+      std::size_t bytes, int count = std::numeric_limits<int>::max()) const;
   BarrierAlgorithm resolve_barrier() const;
 
   /// The communicator's topology digest (islands / clusters / reps),
@@ -229,12 +235,14 @@ class Comm {
 
   // --- Nonblocking collectives ----------------------------------------
   //
-  // Each operation is a progress-engine-driven schedule (coll_sched.cpp):
-  // the returned request completes when the per-rank state machine has
-  // run all its rounds, advanced from whatever context completes the
+  // Each operation runs the blocking collective's schedule
+  // (coll_schedule.hpp), resolved the same way, on the progress-engine
+  // runner (coll_sched.cpp): the returned request completes when every
+  // step has run, advanced from whatever context completes the
   // underlying transfers (a ch_mad poller, an smp sender, a fiber resume)
-  // — never from a hidden blocking call. MPI_Test on the request yields
-  // the shard, so spin-loops make progress on the sharded engine. In FT
+  // — never from a hidden blocking call. kOffload runs the hierarchical
+  // trees. MPI_Test on the request yields the shard, so spin-loops make
+  // progress on the sharded engine. In FT
   // mode the operation degrades to the blocking survivable algorithm at
   // initiation time (completing the request inline), mirroring the
   // blocking collectives' explicit FT fallback.
@@ -323,6 +331,10 @@ class Comm {
   void coll_send_multi(const std::vector<rank_t>& children, const void* buf,
                        std::size_t bytes, int tag);
   void coll_recv(void* buf, std::size_t bytes, rank_t source, int tag);
+  /// Post the receive half of coll_recv/coll_sendrecv (FT capture: tag
+  /// remap and deadline included).
+  std::shared_ptr<RequestState> post_coll_recv(void* buf, std::size_t bytes,
+                                               rank_t source, int tag);
   void coll_sendrecv(const void* send, std::size_t send_bytes, rank_t dest,
                      void* recv, std::size_t recv_bytes, rank_t source,
                      int tag);
@@ -335,41 +347,18 @@ class Comm {
                      int tag);
   Request coll_irecv(void* buf, std::size_t bytes, rank_t source, int tag);
 
-  void allreduce_recursive_doubling(void* recv_buf, int count,
-                                    const Datatype& type, const Op& op);
-  void allreduce_ring(void* recv_buf, int count, const Datatype& type,
-                      const Op& op);
-  void bcast_binomial(std::byte* wire, std::size_t bytes, rank_t root);
-  void bcast_linear(std::byte* wire, std::size_t bytes, rank_t root);
+  /// The blocking runner: walk one rank's schedule step by step over
+  /// the blocking primitives above, combining received operands into
+  /// `data` with `op` (and charging the host copy) after each reduction
+  /// step.
+  void run_schedule(const CollSchedule& schedule, std::byte* data = nullptr,
+                    const Datatype& type = Datatype::byte(),
+                    const Op* op = nullptr);
 
-  // --- Hierarchical collective engine (coll_hier.cpp) ------------------
-
-  /// Binomial tree ops over an explicit member list (members[0] is the
-  /// source/sink); the three hierarchy levels all reduce to these. Only
-  /// ranks present in `members` may call; everyone else skips the stage.
-  void tree_bcast_members(const std::vector<rank_t>& members,
-                          std::byte* wire, std::size_t bytes, int tag);
-  /// Flat concurrent fan-out from members[0]; the interconnect level of
-  /// hier_bcast (rep count = cluster count, wire serialization dominates).
-  void linear_bcast_members(const std::vector<rank_t>& members,
-                            std::byte* wire, std::size_t bytes, int tag);
-  void tree_reduce_members(const std::vector<rank_t>& members,
-                           std::byte* accum, std::size_t bytes, int count,
-                           const Datatype& type, const Op* op, int tag);
-
-  void hier_bcast(std::byte* wire, std::size_t bytes, rank_t root);
-  void hier_reduce(std::byte* accum, std::size_t bytes, int count,
-                   const Datatype& type, const Op& op, rank_t root);
-  void hier_allreduce(void* recv_buf, int count, const Datatype& type,
-                      const Op& op);
-  void hier_barrier();
+  /// Modeled NIC offload (coll_hier.cpp): the NIC board replaces the
+  /// inter-island trees; the island fan-in/release run as schedules.
   void offload_barrier();
   void offload_bcast(std::byte* wire, std::size_t bytes, rank_t root);
-
-  /// Whether reduce() should take the hierarchical path for `bytes`
-  /// (reduce has no config enum of its own; it follows allreduce's
-  /// resolution, which shares its communication shape).
-  bool use_hier_reduce(std::size_t bytes) const;
 
   /// Shared gather body: root collects each rank's packed block into
   /// wire + offsets[src] (offsets has size()+1 entries, self block packed

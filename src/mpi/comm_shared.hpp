@@ -77,10 +77,16 @@ struct Comm::Shared {
     if (icoll_seq.size() < group.size()) icoll_seq.resize(group.size(), 0);
     return icoll_seq[static_cast<std::size_t>(comm_rank)]++;
   }
-  std::uint64_t next_offload_seq(rank_t comm_rank) {
+  /// The offload board key of this rank's next offloaded collective:
+  /// (context, offload_seq).
+  std::uint64_t next_offload_key(rank_t comm_rank) {
     std::lock_guard<std::mutex> lock(seq_mutex);
     if (offload_seq.size() < group.size()) offload_seq.resize(group.size(), 0);
-    return offload_seq[static_cast<std::size_t>(comm_rank)]++;
+    const std::uint64_t seq =
+        offload_seq[static_cast<std::size_t>(comm_rank)]++;
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(context))
+            << 32) |
+           (seq & 0xffffffffu);
   }
 };
 

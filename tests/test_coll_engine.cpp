@@ -1,12 +1,15 @@
-// The hierarchical collective engine (PR 9): topology digest, hierarchical
+// The hierarchical collective engine: topology digest, hierarchical
 // and NIC-offloaded algorithms, kAuto resolution (env override > tuner
 // table > heuristic), the nonblocking-collective schedules, and the FT
 // interop pin (FT mode always falls back to the flat survivable path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -413,6 +416,123 @@ TEST(CollEngine, SpinTestDrivesIcollProgress) {
     const int n = comm.size();
     for (int i = 0; i < 50; ++i) ASSERT_EQ(total[i], n * (n - 1) / 2 + n * i);
   });
+}
+
+// --- One schedule, two runners -------------------------------------------
+
+struct Traffic {
+  std::uint64_t tcp = 0;
+  std::uint64_t sci = 0;
+  std::uint64_t ch_mad = 0;  // eager + rendezvous sends
+  bool operator==(const Traffic&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const Traffic& traffic) {
+  return out << "{tcp " << traffic.tcp << ", sci " << traffic.sci
+             << ", ch_mad " << traffic.ch_mad << "}";
+}
+
+/// Messages one collective puts on the wire: a fresh 16-rank misaligned
+/// meta-cluster session that runs nothing else, counted after finalize.
+Traffic traffic_of(const CollectiveConfig& config,
+                   const std::function<void(Comm)>& op) {
+  Session::Options options;
+  options.cluster = misaligned_meta_cluster(16, 2, 3);
+  Session session(std::move(options));
+  session.run([&](Comm comm) {
+    comm.set_collective_config(config);
+    op(comm);
+  });
+  session.finalize();
+  Traffic traffic;
+  for (mad::Channel* channel : session.madeleine().channels()) {
+    const std::uint64_t sent = channel->traffic().messages_sent;
+    if (channel->protocol() == sim::Protocol::kTcp) traffic.tcp += sent;
+    if (channel->protocol() == sim::Protocol::kSisci) traffic.sci += sent;
+  }
+  traffic.ch_mad =
+      session.ch_mad()->eager_sent() + session.ch_mad()->rendezvous_sent();
+  return traffic;
+}
+
+TEST(CollEngine, NonblockingRunsTheBlockingSchedule) {
+  // ibcast / iallreduce / ibarrier resolve like their blocking
+  // counterparts and walk the same schedule, so every algorithm puts the
+  // same messages on every channel either way (eager sizes: one message
+  // per hop).
+  constexpr int kCount = 16;  // one double per rank: the ring stays a ring
+  auto allreduce = [](bool nonblocking) {
+    return [nonblocking](Comm comm) {
+      std::vector<double> mine(kCount), total(kCount, -1.0);
+      for (int i = 0; i < kCount; ++i) mine[i] = comm.rank() + i;
+      if (nonblocking) {
+        ASSERT_EQ(comm.iallreduce(mine.data(), total.data(), kCount,
+                                  Datatype::float64(), mpi::Op::sum())
+                      .wait()
+                      .error,
+                  ErrorCode::kOk);
+      } else {
+        comm.allreduce(mine.data(), total.data(), kCount, Datatype::float64(),
+                       mpi::Op::sum());
+      }
+      const double n = comm.size();
+      for (int i = 0; i < kCount; ++i) {
+        ASSERT_EQ(total[i], n * (n - 1) / 2.0 + n * i);
+      }
+    };
+  };
+  for (AllreduceAlgorithm algorithm :
+       {AllreduceAlgorithm::kRecursiveDoubling, AllreduceAlgorithm::kRing,
+        AllreduceAlgorithm::kReduceBcast, AllreduceAlgorithm::kHierarchical}) {
+    CollectiveConfig config;
+    config.allreduce = algorithm;
+    EXPECT_EQ(traffic_of(config, allreduce(false)),
+              traffic_of(config, allreduce(true)))
+        << "allreduce " << mpi::algorithm_name(algorithm);
+  }
+
+  auto bcast = [](bool nonblocking) {
+    return [nonblocking](Comm comm) {
+      constexpr rank_t kRoot = 5;
+      std::vector<int> data(64, -1);
+      if (comm.rank() == kRoot) std::iota(data.begin(), data.end(), 7);
+      if (nonblocking) {
+        ASSERT_EQ(comm.ibcast(data.data(), 64, Datatype::int32(), kRoot)
+                      .wait()
+                      .error,
+                  ErrorCode::kOk);
+      } else {
+        comm.bcast(data.data(), 64, Datatype::int32(), kRoot);
+      }
+      for (int i = 0; i < 64; ++i) ASSERT_EQ(data[i], 7 + i);
+    };
+  };
+  for (BcastAlgorithm algorithm :
+       {BcastAlgorithm::kBinomial, BcastAlgorithm::kLinear,
+        BcastAlgorithm::kHierarchical}) {
+    CollectiveConfig config;
+    config.bcast = algorithm;
+    EXPECT_EQ(traffic_of(config, bcast(false)), traffic_of(config, bcast(true)))
+        << "bcast " << mpi::algorithm_name(algorithm);
+  }
+
+  auto barrier = [](bool nonblocking) {
+    return [nonblocking](Comm comm) {
+      if (nonblocking) {
+        ASSERT_EQ(comm.ibarrier().wait().error, ErrorCode::kOk);
+      } else {
+        comm.barrier();
+      }
+    };
+  };
+  for (BarrierAlgorithm algorithm :
+       {BarrierAlgorithm::kDissemination, BarrierAlgorithm::kHierarchical}) {
+    CollectiveConfig config;
+    config.barrier = algorithm;
+    EXPECT_EQ(traffic_of(config, barrier(false)),
+              traffic_of(config, barrier(true)))
+        << "barrier " << mpi::algorithm_name(algorithm);
+  }
 }
 
 // --- Auto-tuner ---------------------------------------------------------
