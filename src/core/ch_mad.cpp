@@ -80,21 +80,22 @@ void ChMadDevice::start() {
   MADMPI_CHECK_MSG(!started_, "ch_mad started twice");
   started_ = true;
 
-  // Direct channels: pollers dispatch ch_mad packets straight away.
-  // Forwarding channels: pollers first read the routing header and either
+  // Direct channels: sources dispatch ch_mad packets straight away.
+  // Forwarding channels: sources first read the routing header and either
   // relay (gateway role) or dispatch locally (final hop).
+  using Step = marcel::PollServer::Step;
   auto spawn_pollers = [this](mad::Channel* channel, bool forwarding) {
     for (node_id_t member : channel->members()) {
       mad::ChannelEndpoint* endpoint = channel->at(member);
       NodeState* state = states_.at(member).get();
       auto terms_seen = std::make_shared<int>(0);
       const int peers = static_cast<int>(channel->members().size()) - 1;
-      state->poll_server->add_poller(
-          channel->id(), channel->poll_cost(),
+      state->poll_server->add_source(
+          channel->id(), channel->poll_cost(), &endpoint->port(),
           [this, state, endpoint, channel, terms_seen, peers, forwarding,
            member] {
-            auto incoming = endpoint->begin_unpacking();
-            if (!incoming) return false;  // channel closed
+            auto incoming = endpoint->try_begin_unpacking();
+            if (!incoming) return Step::kIdle;
             state->poll_server->charge_wakeup(channel->id());
             if (forwarding) {
               mad::ForwardHeader fwd;
@@ -102,11 +103,11 @@ void ChMadDevice::start() {
                                mad::RecvMode::kExpress);
               if (fwd.final_dst != member) {
                 relay(member, fwd, *incoming);
-                return true;
+                return Step::kHandled;
               }
             }
             handle_message(*state, *incoming, terms_seen.get());
-            return *terms_seen < peers;
+            return *terms_seen < peers ? Step::kHandled : Step::kDone;
           });
     }
   };

@@ -114,11 +114,12 @@ class ChMadDevice final : public ManagedDevice {
              std::shared_ptr<mpi::RequestState> completion) override;
 
   // --- lifecycle --------------------------------------------------------
-  /// Spawn the polling threads (one per channel per member node).
+  /// Register the poll sources (one per channel per member node), each
+  /// with its poller thread; blocked ranks drain the cheap ones in place.
   void start() override;
 
   /// Distributed termination: every node broadcasts MAD_TERM_PKT on every
-  /// channel; pollers exit once all peers' terminations arrived. Must be
+  /// channel; sources end once all peers' terminations arrived. Must be
   /// called after all application traffic has quiesced.
   void shutdown() override;
 
@@ -139,6 +140,11 @@ class ChMadDevice final : public ManagedDevice {
   std::uint64_t credit_stalls() const { return credit_stalls_.load(); }
   std::uint64_t credit_packets() const { return credit_packets_.load(); }
   std::uint64_t rma_ops_sent() const { return rma_ops_sent_.load(); }
+
+  /// The poll server of `node` (tests: poller-thread wakeup counts).
+  const marcel::PollServer& poll_server(node_id_t node) {
+    return *state_of(node).poll_server;
+  }
 
   // --- flow control -----------------------------------------------------
   std::size_t credit_window() const { return credit_window_; }
@@ -257,8 +263,8 @@ class ChMadDevice final : public ManagedDevice {
                      const PacketHeader& header, byte_span body,
                      bool rma_data = false);
 
-  /// Relay a forwarded message one hop further (runs on a forwarding
-  /// channel's polling thread on the gateway node).
+  /// Relay a forwarded message one hop further (run by a forwarding
+  /// channel's poll source on the gateway node).
   void relay(node_id_t me, mad::ForwardHeader fwd,
              mad::Unpacking& incoming);
 

@@ -11,6 +11,7 @@
 #include "marcel/engine.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/fault.hpp"
+#include "sim/sched.hpp"
 
 namespace madmpi::core {
 
@@ -55,6 +56,18 @@ Session::Session(Options options) {
                    "invalid cluster specification");
   madeleine_ =
       std::make_unique<mad::Madeleine>(fabric_, std::move(options.cluster));
+  // Seeded replay is exact only within one node: across nodes, frames are
+  // still handled in host arrival order, so the seed does not pin virtual
+  // time there. Say so instead of letting a sweep trust it.
+  if (const auto* sched = sim::ScheduleController::current();
+      sched != nullptr && cluster().nodes.size() > 1) {
+    MADMPI_LOG_WARN("session",
+                    "schedule seed %llu on a %zu-node session: seeded "
+                    "replay is exact for single-node sessions only; "
+                    "virtual times may vary between runs",
+                    static_cast<unsigned long long>(sched->seed()),
+                    cluster().nodes.size());
+  }
 
   // Lay ranks out node-major, matching ClusterSpec::rank_location.
   for (std::size_t n = 0; n < cluster().nodes.size(); ++n) {

@@ -193,8 +193,8 @@ class ChannelEndpoint {
   /// Non-blocking variant for poll loops.
   std::optional<Unpacking> try_begin_unpacking();
 
-  /// Cheap "is something waiting" test (Marcel poll integration).
-  bool incoming_available() { return net_->message_available(); }
+  /// The receive queue behind this endpoint (poll sources ring on it).
+  sim::Port& port() { return net_->port(); }
 
   Channel& channel() { return *channel_; }
   sim::Node& node() { return net_->node(); }

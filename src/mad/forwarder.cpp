@@ -46,15 +46,16 @@ void Forwarder::add_route(node_id_t dst, ChannelEndpoint* out,
 void Forwarder::start() {
   MADMPI_CHECK_MSG(!started_, "Forwarder started twice");
   started_ = true;
+  using Step = marcel::PollServer::Step;
   for (ChannelEndpoint* endpoint : ingress_) {
-    poll_server_.add_poller(
+    poll_server_.add_source(
         endpoint->channel().id(), endpoint->channel().poll_cost(),
-        [this, endpoint] {
-          auto incoming = endpoint->begin_unpacking();
-          if (!incoming) return false;
+        &endpoint->port(), [this, endpoint] {
+          auto incoming = endpoint->try_begin_unpacking();
+          if (!incoming) return Step::kIdle;
           poll_server_.charge_wakeup(endpoint->channel().id());
           relay(std::move(*incoming));
-          return true;
+          return Step::kHandled;
         });
   }
 }

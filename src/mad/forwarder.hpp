@@ -54,11 +54,11 @@ class Forwarder {
   /// (next_hop == dst for the final hop).
   void add_route(node_id_t dst, ChannelEndpoint* out, node_id_t next_hop);
 
-  /// Spawn one relay thread per ingress. Threads exit when their ingress
-  /// channel closes.
+  /// Register one poll source per ingress. A source ends when its
+  /// ingress channel closes.
   void start();
 
-  /// Join the relay threads (close the ingress channels first).
+  /// Join the sources' poller threads (close the ingress channels first).
   void stop();
 
   std::uint64_t forwarded() const { return forwarded_; }

@@ -1,103 +1,180 @@
 // Factorized network polling (Marcel + Madeleine cooperation, paper §3.3).
 //
-// The poll server owns one persistent polling thread per registered source
-// (ch_mad registers one per Madeleine channel, §4.2.3). Each active poller
-// is declared on the node so concurrent pollers interfere: handling a
-// message on channel X is delayed by the other channels' polling costs —
-// exactly the effect the paper measures in Figure 9 (SCI alone vs SCI+TCP).
+// The poll server drives one *source* per polled channel on a node (ch_mad
+// registers one per Madeleine channel, §4.2.3; the gateway forwarder one
+// per ingress). A source is a non-blocking body (take the next startable
+// message if any, charge the wakeup, handle it), a token that serializes
+// the body's runs, and the source's own virtual-clock lanes, installed
+// around every run. Whichever thread holds the token, every charge lands
+// on the same lanes in port order, so virtual time does not depend on who
+// ran the body.
+//
+// The paper polls each protocol at its own frequency: cheap memory-mapped
+// polls (SISCI, BIP) every time the scheduler is entered, TCP's select()
+// rarely. Here that becomes who runs a source:
+//  - A thread of the node that blocks in Semaphore::wait *covers* the
+//    node: while it waits it drains every cheap source in place, and a
+//    cheap source's doorbell wakes the most recently covering thread. A
+//    source is cheap when one poll costs less than waking a thread
+//    (poll_cost < ThreadCosts::kWake), so one wake per message replaces
+//    two (poller thread, then the rank).
+//  - Every source keeps one poller thread. It drains the source when the
+//    doorbell finds nobody covering, and always for expensive sources.
+// A frame is never stranded: whoever releases a token re-checks the port
+// and drains again if a frame arrived meanwhile, since the ring for that
+// frame may have gone to a thread that could not take the token.
+//
+// Each source is also declared on the node so concurrent pollers
+// interfere: handling a message on channel X is delayed by the other
+// channels' polling costs — exactly the effect the paper measures in
+// Figure 9 (SCI alone vs SCI+TCP).
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
+#include <cstdint>
 #include <functional>
-#include <thread>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/datapath_stats.hpp"
 #include "common/types.hpp"
-#include "marcel/thread.hpp"
+#include "marcel/engine.hpp"
 #include "sim/node.hpp"
-#include "sim/sched.hpp"
+#include "sim/port.hpp"
 
 namespace madmpi::marcel {
 
 class PollServer {
  public:
-  explicit PollServer(sim::Node& node) : node_(node) {}
+  /// What one run of a source's body did.
+  enum class Step {
+    kIdle,     // nothing startable: wait for the doorbell
+    kHandled,  // handled one message: run again
+    kDone,     // the source shut down: its poller thread exits
+  };
+
+  /// Becomes `node`'s progress engine unless the node already has one.
+  explicit PollServer(sim::Node& node);
   PollServer(const PollServer&) = delete;
   PollServer& operator=(const PollServer&) = delete;
-  ~PollServer() { join(); }
+  ~PollServer();
 
-  /// Spawn a persistent polling thread for one source. `iterate` must block
-  /// until the next event, handle it, and return true; it returns false when
-  /// the source has shut down (the thread then exits). `poll_cost_us` is the
-  /// price of one poll of this protocol and feeds the interference model.
-  void add_poller(channel_id_t channel, usec_t poll_cost_us,
-                  std::function<bool()> iterate) {
-    // Schedule exploration: perturb this channel's poll cost before it
-    // enters the interference model, shifting every wakeup on the node.
-    // Pure in (seed, node, channel) — identical across replays.
-    if (auto* sched = sim::ScheduleController::current()) {
-      poll_cost_us +=
-          sched->poll_frequency_jitter_us(node_.id(), channel, poll_cost_us);
-    }
-    node_.register_poller(channel, poll_cost_us);
-    // The poller's causal birth is the creator's lane after the Marcel
-    // creation cost.
-    const usec_t birth = node_.clock().advance(ThreadCosts::kCreate);
-    threads_.emplace_back([this, birth, channel,
-                           iterate = std::move(iterate)] {
-      node_.clock().bind_lane(birth);
-      while (iterate()) {
-      }
-      node_.unregister_poller(channel);
-    });
-  }
+  /// Register one source and start its poller thread. `body` must never
+  /// wait for an arrival: it returns kIdle instead. `port` is the queue
+  /// the body drains; its doorbell is attached here, and a closed, empty
+  /// port ends the source. With a null port only kDone ends it.
+  /// `poll_cost_us` is the price of one poll of this protocol: it feeds
+  /// the interference model and decides whether the source is cheap.
+  void add_source(channel_id_t channel, usec_t poll_cost_us, sim::Port* port,
+                  std::function<Step()> body);
 
   /// Charge the virtual cost of waking up to handle one message on
   /// `channel`: the Marcel wake plus the interference of the other pollers.
-  /// Called by the poller's own iterate body after its blocking wait ends.
-  usec_t charge_wakeup(channel_id_t channel) {
-    // Teardown drain (TERM broadcasts, late credit returns) still charges
-    // virtual time, but must not leak into the process-wide wakeup
-    // counter: benches and tests snapshot it around measured windows, and
-    // a session tearing down mid-poll would smear nondeterministic drain
-    // wakeups into the next window's delta.
-    if (!draining_.load(std::memory_order_acquire)) {
-      DatapathStats::global().count_poll_wakeup();
+  /// Called by a source's body once it has a message.
+  usec_t charge_wakeup(channel_id_t channel);
+
+  /// Wait on `cv` under `lock` until `ready()`, draining the node's cheap
+  /// sources in place meanwhile (see the header comment).
+  template <typename Pred>
+  void wait_covering(std::unique_lock<std::mutex>& lock,
+                     std::condition_variable& cv, Pred ready) {
+    Cover self{lock.mutex(), &cv};
+    lock.unlock();
+    add_cover(&self);
+    drain_cheap();
+    lock.lock();
+    while (!ready()) {
+      if (!self.rung) {
+        cv.wait(lock);
+        continue;
+      }
+      self.rung = false;
+      lock.unlock();
+      drain_cheap();
+      lock.lock();
     }
-    usec_t extra = ThreadCosts::kWake + node_.poll_interference(channel);
-    // Schedule exploration: jitter each wakeup so two pollers racing for
-    // near-simultaneous arrivals can finish in either order. The sequence
-    // number is the calling poller's own wakeup count — each channel has
-    // exactly one poller thread, so a thread-local counter is that
-    // poller's causal history, not shared racy state.
-    if (auto* sched = sim::ScheduleController::current()) {
-      thread_local std::uint64_t wakeups = 0;
-      extra += sched->poll_wakeup_jitter_us(node_.id(), channel, wakeups++);
-    }
-    node_.clock().advance(extra);
-    return extra;
+    lock.unlock();
+    // A ring that came in after the permit was rung here, not at the next
+    // covering thread: drain once more once no ring can reach this thread.
+    remove_cover(&self);
+    drain_cheap();
+    lock.lock();
+    // Only another waiter on the same cv can have taken the permit since.
+    cv.wait(lock, ready);
   }
 
+  /// True while the calling thread runs a source's body. A wait inside a
+  /// body must not drain sources: the thread holds a token already.
+  static bool in_source();
+
   sim::Node& node() { return node_; }
-  std::size_t poller_count() const { return threads_.size(); }
+  std::size_t poller_count() const { return sources_.size(); }
+
+  /// Times a poller thread was woken by its doorbell: the wakeups that
+  /// draining in place did not save.
+  std::uint64_t thread_wakeups() const {
+    return thread_wakeups_.load(std::memory_order_relaxed);
+  }
 
   /// Mark the teardown drain: wakeups from here on are session shutdown
   /// traffic, not workload, and stay out of DatapathStats.
   void begin_drain() { draining_.store(true, std::memory_order_release); }
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
-  /// Join every polling thread. The sources must have been closed first so
-  /// the iterate callbacks observe shutdown and return false.
-  void join() {
-    for (std::thread& thread : threads_) thread.join();
-    threads_.clear();
-  }
+  /// Join every poller thread and detach the doorbells. Each source must
+  /// end first: its body returns kDone, or its port closes.
+  void join();
 
  private:
+  struct Source;
+
+  /// A thread covering the node, as the doorbell sees it: the mutex and cv
+  /// of the semaphore it waits on, and the flag a ring sets.
+  struct Cover {
+    std::mutex* mutex;
+    std::condition_variable* cv;
+    bool rung = false;  // guarded by *mutex
+  };
+
+  void add_cover(Cover* cover);
+  void remove_cover(Cover* cover);
+  /// Wake the most recently covering thread; false when none covers.
+  bool wake_cover();
+  void drain_cheap();
+  /// Run `source`'s body under its token until it goes idle. Returns at
+  /// once if another thread holds the token.
+  void drain(Source& source);
+  void poller_main(Source& source);
+
+  // The source the calling thread is running, if any.
+  static thread_local Source* t_running_;
+
   sim::Node& node_;
-  std::vector<std::thread> threads_;
+  std::vector<std::unique_ptr<Source>> sources_;
+  // Cheap sources, newest first; linked once and never unlinked, so
+  // waiters walk the list without a lock.
+  std::atomic<Source*> cheap_head_{nullptr};
+  std::mutex cover_mutex_;
+  std::vector<Cover*> covers_;  // guarded by cover_mutex_
+  std::atomic<std::uint64_t> thread_wakeups_{0};
   std::atomic<bool> draining_{false};
 };
+
+/// Condition-variable wait for a thread of `node`: parks on a fiber,
+/// drains the node's cheap sources in place on any other thread that is
+/// not already running a source, and otherwise waits plainly.
+template <typename Pred>
+void progress_wait(sim::Node& node, std::unique_lock<std::mutex>& lock,
+                   std::condition_variable& cv, Pred ready) {
+  PollServer* progress = node.progress();
+  if (ready() || progress == nullptr || on_fiber() ||
+      PollServer::in_source()) {
+    engine_wait(lock, cv, ready);
+    return;
+  }
+  progress->wait_covering(lock, cv, ready);
+}
 
 }  // namespace madmpi::marcel

@@ -1,10 +1,17 @@
 // Virtual-time-aware counting semaphore.
 //
 // The ch_mad rendezvous protocol blocks the MPI control thread on a
-// semaphore stored in the rhandle; the polling thread releases it when the
-// data lands (paper Section 4.2.2). In virtual time, the waiter must wake
-// *no earlier than* the releaser's clock, so V() stamps the release time and
-// P() synchronizes the waiter's clock to it plus the Marcel wake cost.
+// semaphore stored in the rhandle; whoever handles the arriving data
+// releases it (paper Section 4.2.2). Every MPI request wait, the blocking
+// rendezvous send and smp_plug's hand-off block here too. In virtual
+// time, the waiter must wake *no earlier than* the releaser's clock, so
+// V() stamps the release time and P() synchronizes the waiter's clock to
+// it plus the Marcel wake cost.
+//
+// A blocked OS thread does not just sleep: it covers its node and drains
+// the node's cheap poll sources in place (marcel/poll_server.hpp), so the
+// message it waits for usually completes on the waiter itself, with no
+// poller thread woken in between. A fiber parks instead.
 #pragma once
 
 #include <condition_variable>
@@ -13,6 +20,7 @@
 
 #include "common/types.hpp"
 #include "marcel/engine.hpp"
+#include "marcel/poll_server.hpp"
 #include "marcel/thread.hpp"
 #include "sim/node.hpp"
 
@@ -46,12 +54,13 @@ class Semaphore {
 
   /// P: wait for a release; wake at max(own clock, releaser clock) + wake
   /// cost. On a fiber this parks the continuation instead of blocking the
-  /// shard worker.
+  /// shard worker; on an OS thread it drains the node's cheap poll sources
+  /// while it waits.
   void wait() {
     usec_t released_at;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      engine_wait(lock, available_, [this] { return count_ > 0; });
+      progress_wait(node_, lock, available_, [this] { return count_ > 0; });
       --count_;
       released_at = release_times_.front();
       release_times_.pop_front();

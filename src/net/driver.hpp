@@ -112,6 +112,8 @@ class Endpoint {
   const sim::LinkCostModel& model() const { return model_; }
   /// The channel's slab pool (global pool when standalone).
   SlabPool& pool() { return *pool_; }
+  /// The receive queue every peer of the channel delivers into.
+  sim::Port& port() { return port_; }
 
   /// Register the outgoing path to a peer (done by ChannelTransport).
   void add_peer(node_id_t peer, sim::WirePath path);
@@ -149,9 +151,6 @@ class Endpoint {
 
   /// Blocking variant; empty when the channel is shut down.
   std::optional<IncomingMessage> next_message_blocking();
-
-  /// True if a control frame is already waiting (cheap check for pollers).
-  bool message_available();
 
   /// Used by IncomingMessage: wait for the next frame from `src`.
   std::optional<sim::Frame> wait_frame_from(node_id_t src);

@@ -192,15 +192,6 @@ void Endpoint::pump() {
   }
 }
 
-bool Endpoint::message_available() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  pump();
-  for (const auto& [src, queue] : per_source_) {
-    if (!queue.empty() && queue.front().kind == kControlFrame) return true;
-  }
-  return false;
-}
-
 std::optional<IncomingMessage> Endpoint::poll_message() {
   // The poller's lane before this call marks when its CPU became free
   // (handling work only — waiting for arrivals does not occupy it).

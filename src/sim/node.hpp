@@ -1,6 +1,7 @@
 // Simulated cluster nodes.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <string>
@@ -10,12 +11,18 @@
 #include "sim/cost_model.hpp"
 #include "sim/virtual_clock.hpp"
 
+namespace madmpi::marcel {
+class PollServer;
+}
+
 namespace madmpi::sim {
 
 /// One machine of the simulated cluster: identity, a virtual clock shared by
 /// every thread the node hosts (rank threads, polling threads), and a
 /// registry of active pollers used to model cross-protocol polling
-/// interference (the effect measured in Figure 9).
+/// interference (the effect measured in Figure 9), and the node's one
+/// progress engine: the poll server whose sources a blocked thread of this
+/// node drains in place.
 class Node {
  public:
   Node(node_id_t id, std::string name, int cpus, bool big_endian = false)
@@ -65,6 +72,25 @@ class Node {
     return pollers_.size();
   }
 
+  /// The poll server blocked threads of this node drive (null if none).
+  marcel::PollServer* progress() const {
+    return progress_.load(std::memory_order_acquire);
+  }
+
+  /// Install `server` as the node's progress engine unless one is already
+  /// installed: the first server on a node keeps the role.
+  void attach_progress(marcel::PollServer* server) {
+    marcel::PollServer* none = nullptr;
+    progress_.compare_exchange_strong(none, server,
+                                      std::memory_order_acq_rel);
+  }
+
+  /// Drop `server` from the role if it holds it.
+  void detach_progress(marcel::PollServer* server) {
+    progress_.compare_exchange_strong(server, nullptr,
+                                      std::memory_order_acq_rel);
+  }
+
  private:
   const node_id_t id_;
   const std::string name_;
@@ -74,6 +100,7 @@ class Node {
 
   mutable std::mutex mutex_;
   std::map<channel_id_t, usec_t> pollers_;
+  std::atomic<marcel::PollServer*> progress_{nullptr};
 };
 
 }  // namespace madmpi::sim

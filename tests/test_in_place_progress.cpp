@@ -1,0 +1,168 @@
+// Blocked ranks drain their node's cheap poll sources in place
+// (marcel/poll_server.hpp): a SISCI ping-pong completes on the waiting rank
+// threads with no poller thread woken, at unchanged virtual time; TCP keeps
+// its poller thread; and no frame is stranded when waiters come and go
+// while frames arrive on cheap and expensive channels at once.
+#include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <atomic>
+#include <cstdint>
+#include <vector>
+
+#include "core/session.hpp"
+#include "marcel/engine.hpp"
+
+namespace madmpi {
+namespace {
+
+using core::Session;
+using mpi::Comm;
+using mpi::Datatype;
+using mpi::Request;
+
+Session::Options pair_options(sim::Protocol protocol) {
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(2, protocol);
+  return options;
+}
+
+std::uint64_t poller_wakeups(Session& session) {
+  return session.ch_mad()->poll_server(0).thread_wakeups() +
+         session.ch_mad()->poll_server(1).thread_wakeups();
+}
+
+/// Involuntary context switches of the calling thread so far.
+long preemptions_of_this_thread() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_nivcsw;
+}
+
+struct PingPongRun {
+  double virt_us_per_msg = 0.0;   // rank 0's one-way virtual time
+  std::uint64_t poller_wakeups = 0;
+  long rank_preemptions = 0;      // both rank threads, timed part
+};
+
+/// `warmup + count` 64-byte ping-pongs from rank 0, every receive posted
+/// before its message can arrive, so no message takes the unexpected path
+/// and the virtual time is exact. Only the last `count` are measured.
+PingPongRun pre_posted_pingpong(Session& session, int warmup, int count) {
+  PingPongRun run;
+  std::atomic<long> preemptions{0};
+  session.run([&](Comm comm) {
+    std::vector<std::byte> out(64, std::byte{1});
+    std::vector<std::byte> in(64);
+    const int peer = 1 - comm.rank();
+    const int total = warmup + count;
+    long preempted_at = 0;
+    if (comm.rank() == 0) {
+      usec_t start = 0.0;
+      for (int i = 0; i < total; ++i) {
+        if (i == warmup) {
+          run.poller_wakeups = poller_wakeups(session);
+          preempted_at = preemptions_of_this_thread();
+          start = comm.wtime_us();
+        }
+        Request pong = comm.irecv(in.data(), 64, Datatype::byte(), peer, i);
+        comm.send(out.data(), 64, Datatype::byte(), peer, i);
+        pong.wait();
+      }
+      run.virt_us_per_msg = (comm.wtime_us() - start) / (2.0 * count);
+      run.poller_wakeups = poller_wakeups(session) - run.poller_wakeups;
+    } else {
+      Request ping = comm.irecv(in.data(), 64, Datatype::byte(), peer, 0);
+      for (int i = 0; i < total; ++i) {
+        if (i == warmup) preempted_at = preemptions_of_this_thread();
+        ping.wait();
+        if (i + 1 < total) {
+          ping = comm.irecv(in.data(), 64, Datatype::byte(), peer, i + 1);
+        }
+        comm.send(out.data(), 64, Datatype::byte(), peer, i);
+      }
+    }
+    preemptions += preemptions_of_this_thread() - preempted_at;
+  });
+  run.rank_preemptions = preemptions.load();
+  return run;
+}
+
+TEST(InPlaceProgress, SisciPingPongWakesNoPollerThread) {
+  Session session(pair_options(sim::Protocol::kSisci));
+  const PingPongRun run = pre_posted_pingpong(session, 100, 1000);
+  if (marcel::engine_kind_from_env() == marcel::EngineKind::kThreaded) {
+    // The blocked rank on each side covers its node, so every arrival is
+    // drained by the rank it completes. A message finds its node
+    // uncovered only if the host preempted the receiving rank between its
+    // send and its wait: one poller wakeup per such preemption at most,
+    // and none on a host that left the ranks alone.
+    EXPECT_LE(run.poller_wakeups,
+              static_cast<std::uint64_t>(run.rank_preemptions))
+        << run.rank_preemptions << " rank preemptions";
+  } else {
+    // Fibers park instead of covering: the poller threads do the work.
+    EXPECT_GT(run.poller_wakeups, 0u);
+  }
+  // Draining in place charges the poller's own lanes exactly as the poller
+  // thread did: the per-message time is the one the poller-thread design
+  // produced.
+  EXPECT_DOUBLE_EQ(run.virt_us_per_msg, 20.862648757104662);
+}
+
+TEST(InPlaceProgress, TcpPairStillWakesItsPollerThread) {
+  // select() costs more than a thread wake: TCP keeps its poller thread.
+  Session session(pair_options(sim::Protocol::kTcp));
+  const PingPongRun run = pre_posted_pingpong(session, 0, 50);
+  EXPECT_GT(run.poller_wakeups, 0u);
+}
+
+TEST(InPlaceProgress, CrossedIsendsOverCheapAndTcpChannelsStrandNoFrame) {
+  // Nodes 0 and 1 share SISCI (drained in place) and TCP; node 2 is on TCP
+  // only (its poller thread). Two ranks per node, so a node has several
+  // waiters covering it at once. Every rank sends to every other rank at
+  // once, eager and rendezvous sizes mixed, and waits for all of it: waits
+  // begin and end while frames keep arriving on both kinds of channel.
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::cluster_of_clusters(2, 1, 2);
+  Session session(std::move(options));
+  constexpr int kRounds = 20;
+  session.run([](Comm comm) {
+    const int size = comm.size();
+    const int me = comm.rank();
+    for (int round = 0; round < kRounds; ++round) {
+      auto bytes_for = [round](int src, int dst) -> int {
+        return (src + dst + round) % 3 == 0 ? 24 * 1024 : 40 + src + dst;
+      };
+      std::vector<std::vector<std::byte>> in(size);
+      std::vector<std::vector<std::byte>> out(size);
+      std::vector<Request> requests;
+      for (int peer = 0; peer < size; ++peer) {
+        if (peer == me) continue;
+        in[peer].resize(bytes_for(peer, me));
+        requests.push_back(comm.irecv(in[peer].data(),
+                                      static_cast<int>(in[peer].size()),
+                                      Datatype::byte(), peer, round));
+      }
+      for (int step = 1; step < size; ++step) {
+        const int peer = (me + step) % size;
+        out[peer].assign(bytes_for(me, peer),
+                         static_cast<std::byte>(me * 16 + round));
+        requests.push_back(comm.isend(out[peer].data(),
+                                      static_cast<int>(out[peer].size()),
+                                      Datatype::byte(), peer, round));
+      }
+      Request::wait_all(requests);
+      for (int peer = 0; peer < size; ++peer) {
+        if (peer == me) continue;
+        const auto want = static_cast<std::byte>(peer * 16 + round);
+        int wrong = 0;
+        for (std::byte b : in[peer]) wrong += b != want ? 1 : 0;
+        EXPECT_EQ(wrong, 0) << "round " << round << " from " << peer;
+      }
+    }
+  });
+}
+
+}  // namespace
+}  // namespace madmpi

@@ -64,7 +64,7 @@ TEST(PollServer, PollerCreationChargesMarcelCost) {
   sim::Node node(0, "n", 2);
   const usec_t before = node.clock().now();
   PollServer server(node);
-  server.add_poller(1, 1.0, [] { return false; });
+  server.add_source(1, 1.0, nullptr, [] { return PollServer::Step::kDone; });
   server.join();
   EXPECT_DOUBLE_EQ(node.clock().now(), before + ThreadCosts::kCreate);
 }
@@ -74,9 +74,9 @@ TEST(PollServer, JoinsOnDestruction) {
   std::atomic<bool> ran{false};
   {
     PollServer server(node);
-    server.add_poller(1, 1.0, [&] {
+    server.add_source(1, 1.0, nullptr, [&] {
       ran = true;
-      return false;
+      return PollServer::Step::kDone;
     });
   }
   EXPECT_TRUE(ran.load());
@@ -87,7 +87,10 @@ TEST(PollServer, PollersRegisterAndUnregisterOnNode) {
   {
     PollServer server(node);
     std::atomic<int> remaining{3};
-    server.add_poller(7, 15.0, [&] { return --remaining > 0; });
+    server.add_source(7, 15.0, nullptr, [&] {
+      return --remaining > 0 ? PollServer::Step::kHandled
+                             : PollServer::Step::kDone;
+    });
     EXPECT_EQ(server.poller_count(), 1u);
     server.join();
   }
@@ -113,13 +116,13 @@ TEST(PollServer, MultiplePollersRunConcurrently) {
   std::atomic<int> peak{0};
   std::atomic<bool> release{false};
   for (channel_id_t c = 0; c < 3; ++c) {
-    server.add_poller(c, 1.0, [&] {
+    server.add_source(c, 1.0, nullptr, [&] {
       const int now = ++alive;
       int expected = peak.load();
       while (now > expected && !peak.compare_exchange_weak(expected, now)) {
       }
       while (!release.load()) std::this_thread::yield();
-      return false;  // one iteration then exit
+      return PollServer::Step::kDone;  // one iteration then exit
     });
   }
   while (alive.load() < 3) std::this_thread::yield();

@@ -125,10 +125,10 @@ TEST(Transport, PollMessageNonBlocking) {
   Endpoint* a = net.transport->endpoint(0);
   Endpoint* b = net.transport->endpoint(1);
   EXPECT_FALSE(b->poll_message().has_value());
-  EXPECT_FALSE(b->message_available());
+  EXPECT_FALSE(b->port().has_frame());
   const auto payload = bytes_of("x");
   a->send_message(1, byte_span{payload.data(), payload.size()}, {});
-  EXPECT_TRUE(b->message_available());
+  EXPECT_TRUE(b->port().has_frame());
   EXPECT_TRUE(b->poll_message().has_value());
 }
 

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/session.hpp"
+#include "sim/sched.hpp"
 
 namespace madmpi {
 namespace {
@@ -17,6 +19,31 @@ Session::Options two_node_options(sim::Protocol protocol) {
   Session::Options options;
   options.cluster = sim::ClusterSpec::homogeneous(2, protocol);
   return options;
+}
+
+// Seeded replay is exact only inside one node: a seeded multi-node session
+// says so once, a seeded single-node session stays quiet.
+TEST(SessionSmoke, SeededReplayWarnsOnMultiNodeSessionsOnly) {
+  sim::ScheduleController::install(7);
+  testing::internal::CaptureStderr();
+  { Session two_nodes(two_node_options(sim::Protocol::kSisci)); }
+  const std::string multi = testing::internal::GetCapturedStderr();
+
+  Session::Options one_node;
+  one_node.cluster = sim::ClusterSpec::homogeneous(1, sim::Protocol::kTcp, 2);
+  testing::internal::CaptureStderr();
+  { Session single(std::move(one_node)); }
+  const std::string single = testing::internal::GetCapturedStderr();
+  sim::ScheduleController::uninstall();
+
+  const std::string warning = "seeded replay is exact for single-node";
+  std::size_t count = 0;
+  for (std::size_t at = multi.find(warning); at != std::string::npos;
+       at = multi.find(warning, at + 1)) {
+    ++count;
+  }
+  EXPECT_EQ(count, 1u) << multi;
+  EXPECT_EQ(single.find(warning), std::string::npos) << single;
 }
 
 TEST(SessionSmoke, TcpPingPong) {
