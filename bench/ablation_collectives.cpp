@@ -58,7 +58,10 @@ sim::ClusterSpec meta_cluster(const Shape& shape, int clusters) {
     sci.adapter = static_cast<adapter_id_t>(c);
     for (int n = 0; remaining > 0; ++n) {
       sim::NodeSpec node;
-      node.name = "c" + std::to_string(c) + "n" + std::to_string(n);
+      node.name = "c";
+      node.name += std::to_string(c);
+      node.name += 'n';
+      node.name += std::to_string(n);
       node.ranks = std::min(shape.ranks_per, remaining);
       remaining -= node.ranks;
       spec.nodes.push_back(node);

@@ -15,17 +15,24 @@ namespace {
 /// Chain of SCI-linked islands: n0 -SCI- n1 -SCI'- n2 -SCI''- n3, each hop
 /// its own network so nodes farther apart must be forwarded.
 std::unique_ptr<core::Session> chain_session(int hops) {
+  // Appended, not `"n" + std::to_string(i)`: at -O3 GCC 12 flags that
+  // concatenation with a bogus -Werror=restrict.
+  auto name_of = [](int i) {
+    std::string name = "n";
+    name += std::to_string(i);
+    return name;
+  };
   sim::ClusterSpec spec;
   for (int i = 0; i <= hops; ++i) {
     sim::NodeSpec node;
-    node.name = "n" + std::to_string(i);
+    node.name = name_of(i);
     spec.nodes.push_back(node);
   }
   for (int i = 0; i < hops; ++i) {
     sim::NetworkSpec net;
     net.protocol = sim::Protocol::kSisci;
     net.adapter = i;  // distinct adapters: distinct physical networks
-    net.members = {"n" + std::to_string(i), "n" + std::to_string(i + 1)};
+    net.members = {name_of(i), name_of(i + 1)};
     spec.networks.push_back(std::move(net));
   }
   core::Session::Options options;

@@ -257,6 +257,14 @@ Status ChMadDevice::send_packet(node_id_t src_node, node_id_t dst_node,
   return packing.end_packing();
 }
 
+Status ChMadDevice::send_packet_claiming(sim::Node& src_node,
+                                         node_id_t dst_node,
+                                         const PacketHeader& header,
+                                         byte_span body) {
+  marcel::PollServer::ClaimScope claims(src_node);
+  return send_packet(src_node.id(), dst_node, header, body);
+}
+
 void ChMadDevice::relay(node_id_t me, mad::ForwardHeader fwd,
                         mad::Unpacking& incoming) {
   // Drain everything before touching the egress channel: a message whose
@@ -308,7 +316,8 @@ Status ChMadDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
     // MPID_PKT_MAX_DATA_SIZE buffer on the sending side.
     header.type = PacketType::kShort;
     eager_sent_.fetch_add(1, std::memory_order_relaxed);
-    Status status = send_packet(src_node.id(), dst_node.id(), header, packed);
+    Status status =
+        send_packet_claiming(src_node, dst_node.id(), header, packed);
     if (!status.is_ok() && credit_window_ != 0) {
       // The message never left: hand the admission's credits back so a
       // dead peer does not also bleed the sender's window dry.
@@ -338,7 +347,9 @@ Status ChMadDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
   }
   header.type = PacketType::kRndvRequest;
   header.sender_handle = handle;
-  Status status = send_packet(src_node.id(), dst_node.id(), header, {});
+  // On cheap networks the whole handshake usually completes in here, on
+  // this thread, and the wait below does not sleep.
+  Status status = send_packet_claiming(src_node, dst_node.id(), header, {});
   if (!status.is_ok()) {
     // The request never left: unregister and report. (If the request
     // arrived but the *reply* path is severed, the sender waits — reverse
@@ -391,7 +402,7 @@ bool ChMadDevice::isend_rendezvous(rank_t src, rank_t dst,
   header.sender_handle = pending->handle;
   // The request goes out on the calling thread: injection order per
   // source stays the program order the matching layer's FIFO relies on.
-  Status status = send_packet(src_node.id(), dst_node.id(), header, {});
+  Status status = send_packet_claiming(src_node, dst_node.id(), header, {});
   if (!status.is_ok()) {
     {
       std::lock_guard<std::mutex> lock(node_state.mutex);

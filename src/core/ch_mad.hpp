@@ -262,6 +262,13 @@ class ChMadDevice final : public ManagedDevice {
   Status send_packet(node_id_t src_node, node_id_t dst_node,
                      const PacketHeader& header, byte_span body,
                      bool rma_data = false);
+  /// send_packet under a PollServer::ClaimScope: the calling thread runs
+  /// the cheap poll sources its frames land in when their node waits on
+  /// them (marcel/poll_server.hpp), before returning. Only for callers
+  /// that hold no locks; send_packet itself is also called under
+  /// matching locks (credit returns), so it never opens a scope.
+  Status send_packet_claiming(sim::Node& src_node, node_id_t dst_node,
+                              const PacketHeader& header, byte_span body);
 
   /// Relay a forwarded message one hop further (run by a forwarding
   /// channel's poll source on the gateway node).

@@ -38,7 +38,10 @@ std::vector<Channel*> Madeleine::open_default_channels() {
   for (const auto& network : cluster_.networks) {
     std::string name = sim::protocol_keyword(network.protocol);
     // Disambiguate multiple networks of the same protocol.
-    name += "-" + std::to_string(counter++);
+    // Two appends, not `"-" + std::to_string(...)`: at -O3 GCC 12 flags
+    // the temporary's concatenation with a bogus -Werror=restrict.
+    name += '-';
+    name += std::to_string(counter++);
     out.push_back(&open_channel(network, std::move(name)));
   }
   return out;

@@ -26,7 +26,11 @@ struct PollServer::Source final : sim::Doorbell {
         busy.load(std::memory_order_acquire)) {
       return;
     }
-    if (cheap && server.wake_cover()) return;
+    if (cheap && (server.claim(*this) || server.wake_cover())) return;
+    wake_poller();
+  }
+
+  void wake_poller() {
     {
       std::lock_guard<std::mutex> lock(mutex);
       rung = true;
@@ -70,6 +74,7 @@ struct PollServer::Source final : sim::Doorbell {
 };
 
 thread_local PollServer::Source* PollServer::t_running_ = nullptr;
+thread_local PollServer::Claims PollServer::t_claims_;
 
 PollServer::PollServer(sim::Node& node) : node_(node) {
   node_.attach_progress(this);
@@ -81,6 +86,42 @@ PollServer::~PollServer() {
 }
 
 bool PollServer::in_source() { return t_running_ != nullptr; }
+
+PollServer::ClaimScope::ClaimScope(sim::Node& node) : open_(!on_fiber()) {
+  if (!open_) return;
+  Claims& claims = t_claims_;
+  if (claims.depth++ == 0) claims.node = &node;
+}
+
+PollServer::ClaimScope::~ClaimScope() {
+  if (!open_) return;
+  Claims& claims = t_claims_;
+  if (claims.depth > 1) {
+    --claims.depth;
+    return;
+  }
+  // The outermost scope: run the claims with the depth still at one, so
+  // the bodies' own sends claim too and join this loop instead of nesting.
+  while (!claims.sources.empty()) {
+    Source* source = claims.sources.front();
+    claims.sources.erase(claims.sources.begin());
+    source->server.run_token(*source);
+  }
+  claims.depth = 0;
+  claims.node = nullptr;
+}
+
+void PollServer::hand_back_claims() {
+  std::vector<Source*> sources;
+  sources.swap(t_claims_.sources);
+  for (Source* source : sources) {
+    source->busy.store(false, std::memory_order_release);
+    // The poller thread, not a cover: the covering thread may be this one.
+    if (source->port_pending()) source->wake_poller();
+  }
+}
+
+bool PollServer::holds_claims() { return !t_claims_.sources.empty(); }
 
 void PollServer::add_source(channel_id_t channel, usec_t poll_cost_us,
                             sim::Port* port, std::function<Step()> body) {
@@ -156,6 +197,23 @@ void PollServer::remove_cover(Cover* cover) {
   covers_.erase(std::find(covers_.begin(), covers_.end(), cover));
 }
 
+bool PollServer::covered() {
+  std::lock_guard<std::mutex> lock(cover_mutex_);
+  return !covers_.empty();
+}
+
+bool PollServer::claim(Source& source) {
+  Claims& claims = t_claims_;
+  if (claims.depth == 0 || (claims.node != &node_ && !covered())) {
+    return false;
+  }
+  // Lost the race for the token: its holder re-checks the port.
+  if (!source.busy.exchange(true, std::memory_order_acquire)) {
+    claims.sources.push_back(&source);
+  }
+  return true;
+}
+
 bool PollServer::wake_cover() {
   std::lock_guard<std::mutex> lock(cover_mutex_);
   if (covers_.empty()) return false;
@@ -178,8 +236,15 @@ void PollServer::drain_cheap() {
 }
 
 void PollServer::drain(Source& source) {
-  while (!source.done.load(std::memory_order_acquire) &&
-         !source.busy.exchange(true, std::memory_order_acquire)) {
+  ClaimScope scope(node_);
+  if (!source.done.load(std::memory_order_acquire) &&
+      !source.busy.exchange(true, std::memory_order_acquire)) {
+    run_token(source);
+  }
+}
+
+void PollServer::run_token(Source& source) {
+  do {
     t_running_ = &source;
     sim::VirtualClock::LaneMap* previous =
         sim::VirtualClock::exchange_lane_map(&source.lanes);
@@ -199,7 +264,8 @@ void PollServer::drain(Source& source) {
       return;
     }
     if (!source.port_pending()) return;
-  }
+  } while (!source.done.load(std::memory_order_acquire) &&
+           !source.busy.exchange(true, std::memory_order_acquire));
 }
 
 void PollServer::poller_main(Source& source) {

@@ -18,11 +18,22 @@
 //    source is cheap when one poll costs less than waking a thread
 //    (poll_cost < ThreadCosts::kWake), so one wake per message replaces
 //    two (poller thread, then the rank).
+//  - A thread that delivers a frame to a cheap source runs that source
+//    itself when it can (a *claim*), instead of waking anybody: the ring
+//    takes the source's free token for the delivering thread if that
+//    thread has a ClaimScope open and the source's node is the thread's
+//    own or is covered. The thread runs its claims when its outermost
+//    scope closes, holding no locks. So a rendezvous handshake between
+//    two SISCI nodes runs REQUEST, ACK and DATA on the sending thread,
+//    and the only wake left is the receiver's completion.
 //  - Every source keeps one poller thread. It drains the source when the
-//    doorbell finds nobody covering, and always for expensive sources.
+//    doorbell finds nobody covering and no claimer, and always for
+//    expensive sources.
 // A frame is never stranded: whoever releases a token re-checks the port
 // and drains again if a frame arrived meanwhile, since the ring for that
-// frame may have gone to a thread that could not take the token.
+// frame may have gone to a thread that could not take the token. A thread
+// about to block inside a body first hands its unrun claims back
+// (hand_back_claims), so no token waits on a thread that sleeps.
 //
 // Each source is also declared on the node so concurrent pollers
 // interfere: handling a message on channel X is delayed by the other
@@ -39,6 +50,7 @@
 #include <vector>
 
 #include "common/datapath_stats.hpp"
+#include "common/status.hpp"
 #include "common/types.hpp"
 #include "marcel/engine.hpp"
 #include "sim/node.hpp"
@@ -109,6 +121,30 @@ class PollServer {
   /// body must not drain sources: the thread holds a token already.
   static bool in_source();
 
+  /// Lets the calling OS thread claim the cheap sources it delivers
+  /// frames to (see the header comment); a no-op on a fiber. `node` is the
+  /// thread's own node, fixed by the outermost scope. Open one only where
+  /// the thread holds no locks: the outermost scope runs the claims when
+  /// it closes.
+  class ClaimScope {
+   public:
+    explicit ClaimScope(sim::Node& node);
+    ~ClaimScope();
+    ClaimScope(const ClaimScope&) = delete;
+    ClaimScope& operator=(const ClaimScope&) = delete;
+
+   private:
+    bool open_;
+  };
+
+  /// Release the tokens of the calling thread's unrun claims and wake
+  /// their poller threads. A thread about to block inside a body calls
+  /// this first: a claimed token stays taken until its claimer runs it.
+  static void hand_back_claims();
+
+  /// True while the calling thread holds claims it has not run yet.
+  static bool holds_claims();
+
   sim::Node& node() { return node_; }
   std::size_t poller_count() const { return sources_.size(); }
 
@@ -138,18 +174,36 @@ class PollServer {
     bool rung = false;  // guarded by *mutex
   };
 
+  /// The calling thread's claim scopes: how deep they nest, the node of
+  /// the outermost one, and the sources whose tokens it claimed, in ring
+  /// order.
+  struct Claims {
+    int depth = 0;
+    sim::Node* node = nullptr;
+    std::vector<Source*> sources;
+  };
+
   void add_cover(Cover* cover);
   void remove_cover(Cover* cover);
+  bool covered();
   /// Wake the most recently covering thread; false when none covers.
   bool wake_cover();
+  /// Called by `source`'s ring: take its token for the calling thread if
+  /// the claim rule allows. True when the ring needs nothing more.
+  bool claim(Source& source);
   void drain_cheap();
   /// Run `source`'s body under its token until it goes idle. Returns at
   /// once if another thread holds the token.
   void drain(Source& source);
+  /// The one body-running routine: the caller holds `source`'s token.
+  /// Runs the body until idle, releases the token, and takes it again
+  /// while a frame arrived meanwhile.
+  void run_token(Source& source);
   void poller_main(Source& source);
 
   // The source the calling thread is running, if any.
   static thread_local Source* t_running_;
+  static thread_local Claims t_claims_;
 
   sim::Node& node_;
   std::vector<std::unique_ptr<Source>> sources_;
@@ -168,9 +222,16 @@ class PollServer {
 template <typename Pred>
 void progress_wait(sim::Node& node, std::unique_lock<std::mutex>& lock,
                    std::condition_variable& cv, Pred ready) {
+  if (ready()) return;
+  if (PollServer::in_source()) {
+    lock.unlock();
+    PollServer::hand_back_claims();
+    lock.lock();
+  }
+  MADMPI_CHECK_MSG(!PollServer::holds_claims(),
+                   "a thread blocks on claims it has not run");
   PollServer* progress = node.progress();
-  if (ready() || progress == nullptr || on_fiber() ||
-      PollServer::in_source()) {
+  if (progress == nullptr || on_fiber() || PollServer::in_source()) {
     engine_wait(lock, cv, ready);
     return;
   }

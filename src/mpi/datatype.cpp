@@ -256,6 +256,8 @@ void Datatype::swap_packed_bytes(std::byte* wire, std::size_t bytes) const {
 }
 
 void Datatype::pack(const void* src, int count, std::byte* dst) const {
+  // A zero-count transfer may come with null buffers: touch nothing.
+  if (count == 0) return;
   const auto* base = static_cast<const std::byte*>(src);
   if (is_contiguous()) {
     std::memcpy(dst, base, impl_->size * static_cast<std::size_t>(count));
@@ -272,6 +274,7 @@ void Datatype::pack(const void* src, int count, std::byte* dst) const {
 }
 
 void Datatype::unpack(const std::byte* src, int count, void* dst) const {
+  if (count == 0) return;
   auto* base = static_cast<std::byte*>(dst);
   if (is_contiguous()) {
     std::memcpy(base, src, impl_->size * static_cast<std::size_t>(count));

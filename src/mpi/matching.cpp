@@ -312,6 +312,7 @@ bool RankContext::take_unexpected(const PostedRecv& pattern,
 
 void RankContext::consume_unexpected(UnexpectedMessage message,
                                      PostedRecv posted) {
+  const usec_t posted_at = node_.clock().now();
   // Causal edge: the match cannot happen before the message was
   // delivered, whatever the posting thread's own lane says.
   node_.clock().sync_to(message.available_at);
@@ -321,8 +322,15 @@ void RankContext::consume_unexpected(UnexpectedMessage message,
     message.on_match(message.env, std::move(posted));
     return;
   }
-  node_.clock().advance(static_cast<double>(message.payload.size()) *
-                        sim::kHostCopyUsPerByte);
+  const usec_t copy_us =
+      static_cast<double>(message.payload.size()) * sim::kHostCopyUsPerByte;
+  // A receive posted no later, in virtual time, than the delivery looked
+  // for one only lost a host-time race: the delivery's copy was the copy
+  // into the user buffer, as on the posted path. Only a receive posted
+  // after the arrival pays the second copy out of the bounce buffer.
+  if (posted_at > message.available_at - copy_us) {
+    node_.clock().advance(copy_us);
+  }
   // Credits first, completion second: once finish_recv() completes the
   // request the application may reach finalize(), and a credit return
   // sent after that can land behind the termination marker and never be

@@ -1,7 +1,9 @@
 #include "mpi/op.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/status.hpp"
 
@@ -9,11 +11,22 @@ namespace madmpi::mpi {
 
 namespace {
 
+// Operands may sit at any byte offset of a packed buffer (an accumulate
+// target displacement, a derived type's field): each element is loaded and
+// stored through memcpy, never through a possibly misaligned T*.
 template <typename T, typename Fn>
 void combine(const void* in, void* inout, int count, Fn&& fn) {
-  const T* a = static_cast<const T*>(in);
-  T* b = static_cast<T*>(inout);
-  for (int i = 0; i < count; ++i) b[i] = fn(a[i], b[i]);
+  const auto* a = static_cast<const std::byte*>(in);
+  auto* b = static_cast<std::byte*>(inout);
+  for (int i = 0; i < count; ++i) {
+    const std::size_t at = sizeof(T) * static_cast<std::size_t>(i);
+    T x{};
+    T y{};
+    std::memcpy(&x, a + at, sizeof(T));
+    std::memcpy(&y, b + at, sizeof(T));
+    const T result = static_cast<T>(fn(x, y));
+    std::memcpy(b + at, &result, sizeof(T));
+  }
 }
 
 /// Dispatch an arithmetic operation over the primitive class. Bitwise and

@@ -3,6 +3,7 @@
 
 #include "common/datapath_stats.hpp"
 #include "common/log.hpp"
+#include "marcel/poll_server.hpp"
 #include "net/driver.hpp"
 #include "sim/sched.hpp"
 #include "sim/trace.hpp"
@@ -267,6 +268,9 @@ std::optional<sim::Frame> Endpoint::wait_frame_from(node_id_t src) {
         return frame;
       }
     }
+    // A poll source's body waits here for the rest of its message: sources
+    // it claimed meanwhile must not wait with it.
+    marcel::PollServer::hand_back_claims();
     auto frame = port_.take_blocking();
     if (!frame.has_value()) return std::nullopt;
     std::lock_guard<std::mutex> lock(mutex_);

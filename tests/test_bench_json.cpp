@@ -112,7 +112,10 @@ TEST(BenchJson, EagerSweepWritesExpectedSeries) {
         "modeled_copy_bytes_per_msg", "match_probes_per_attempt",
         "match_bucket_locks_per_attempt", "match_rank_locks_per_attempt",
         "match_posted_depth_hw", "match_unexpected_depth_hw"}) {
-    EXPECT_NE(text.find("\"" + std::string(key) + "\""), std::string::npos)
+    std::string quoted = "\"";
+    quoted += key;
+    quoted += '"';
+    EXPECT_NE(text.find(quoted), std::string::npos)
         << "missing series key " << key;
   }
 

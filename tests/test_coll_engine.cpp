@@ -65,7 +65,10 @@ sim::ClusterSpec meta_cluster(int clusters, int nodes_per, int ranks_per) {
     sci.adapter = static_cast<adapter_id_t>(c);
     for (int n = 0; n < nodes_per; ++n) {
       sim::NodeSpec node;
-      node.name = "c" + std::to_string(c) + "n" + std::to_string(n);
+      node.name = "c";
+      node.name += std::to_string(c);
+      node.name += 'n';
+      node.name += std::to_string(n);
       node.ranks = ranks_per;
       spec.nodes.push_back(node);
       sci.members.push_back(node.name);
@@ -96,7 +99,10 @@ sim::ClusterSpec misaligned_meta_cluster(int ranks, int clusters,
     sci.adapter = static_cast<adapter_id_t>(c);
     for (int n = 0; remaining > 0; ++n) {
       sim::NodeSpec node;
-      node.name = "c" + std::to_string(c) + "n" + std::to_string(n);
+      node.name = "c";
+      node.name += std::to_string(c);
+      node.name += 'n';
+      node.name += std::to_string(n);
       node.ranks = std::min(ranks_per, remaining);
       remaining -= node.ranks;
       spec.nodes.push_back(node);

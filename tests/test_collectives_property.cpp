@@ -165,12 +165,16 @@ std::vector<PropertyCase> property_cases() {
 INSTANTIATE_TEST_SUITE_P(Random, CollectiveProperty,
                          ::testing::ValuesIn(property_cases()),
                          [](const auto& info) {
-                           return "r" + std::to_string(info.param.ranks) +
-                                  "_c" + std::to_string(info.param.count) +
-                                  "_s" + std::to_string(info.param.seed) +
-                                  "_a" +
-                                  std::to_string(static_cast<int>(
-                                      info.param.algorithm));
+                           std::string name = "r";
+                           name += std::to_string(info.param.ranks);
+                           name += "_c";
+                           name += std::to_string(info.param.count);
+                           name += "_s";
+                           name += std::to_string(info.param.seed);
+                           name += "_a";
+                           name += std::to_string(
+                               static_cast<int>(info.param.algorithm));
+                           return name;
                          });
 
 }  // namespace

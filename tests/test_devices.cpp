@@ -69,7 +69,8 @@ TEST(Routing, NoCommonNetworkIsUnreachable) {
   sim::ClusterSpec spec;
   for (int i = 0; i < 4; ++i) {
     sim::NodeSpec node;
-    node.name = "n" + std::to_string(i);
+    node.name = "n";
+    node.name += std::to_string(i);
     spec.nodes.push_back(node);
   }
   spec.networks.push_back({sim::Protocol::kSisci, 0, {"n0", "n1"}});

@@ -1,8 +1,9 @@
-// Blocked ranks drain their node's cheap poll sources in place
-// (marcel/poll_server.hpp): a SISCI ping-pong completes on the waiting rank
-// threads with no poller thread woken, at unchanged virtual time; TCP keeps
-// its poller thread; and no frame is stranded when waiters come and go
-// while frames arrive on cheap and expensive channels at once.
+// Blocked ranks drain their node's cheap poll sources in place, and a
+// sending thread runs the sources it claims (marcel/poll_server.hpp): a
+// SISCI ping-pong completes with no poller thread woken, and a SISCI
+// rendezvous with one rank wake per message, at unchanged virtual time;
+// TCP keeps its poller thread; and no frame is stranded when waiters come
+// and go while frames arrive on cheap and expensive channels at once.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -32,59 +33,72 @@ std::uint64_t poller_wakeups(Session& session) {
          session.ch_mad()->poll_server(1).thread_wakeups();
 }
 
-/// Involuntary context switches of the calling thread so far.
-long preemptions_of_this_thread() {
-  rusage usage{};
-  getrusage(RUSAGE_THREAD, &usage);
-  return usage.ru_nivcsw;
-}
+/// Context switches of the calling thread so far.
+struct Switches {
+  long voluntary = 0;
+  long preemptions = 0;  // involuntary
+
+  static Switches of_this_thread() {
+    rusage usage{};
+    getrusage(RUSAGE_THREAD, &usage);
+    return {usage.ru_nvcsw, usage.ru_nivcsw};
+  }
+};
 
 struct PingPongRun {
   double virt_us_per_msg = 0.0;   // rank 0's one-way virtual time
   std::uint64_t poller_wakeups = 0;
   long rank_preemptions = 0;      // both rank threads, timed part
+  long rank_voluntary_switches = 0;
 };
 
-/// `warmup + count` 64-byte ping-pongs from rank 0, every receive posted
-/// before its message can arrive, so no message takes the unexpected path
-/// and the virtual time is exact. Only the last `count` are measured.
-PingPongRun pre_posted_pingpong(Session& session, int warmup, int count) {
+/// `warmup + count` ping-pongs of `bytes` from rank 0, every receive
+/// posted before its message can arrive, so no message takes the
+/// unexpected path and the virtual time is exact. Only the last `count`
+/// are measured.
+PingPongRun pre_posted_pingpong(Session& session, int warmup, int count,
+                                int bytes = 64) {
   PingPongRun run;
   std::atomic<long> preemptions{0};
+  std::atomic<long> voluntary{0};
   session.run([&](Comm comm) {
-    std::vector<std::byte> out(64, std::byte{1});
-    std::vector<std::byte> in(64);
+    std::vector<std::byte> out(bytes, std::byte{1});
+    std::vector<std::byte> in(bytes);
     const int peer = 1 - comm.rank();
     const int total = warmup + count;
-    long preempted_at = 0;
+    Switches at;
     if (comm.rank() == 0) {
       usec_t start = 0.0;
       for (int i = 0; i < total; ++i) {
         if (i == warmup) {
           run.poller_wakeups = poller_wakeups(session);
-          preempted_at = preemptions_of_this_thread();
+          at = Switches::of_this_thread();
           start = comm.wtime_us();
         }
-        Request pong = comm.irecv(in.data(), 64, Datatype::byte(), peer, i);
-        comm.send(out.data(), 64, Datatype::byte(), peer, i);
+        Request pong =
+            comm.irecv(in.data(), bytes, Datatype::byte(), peer, i);
+        comm.send(out.data(), bytes, Datatype::byte(), peer, i);
         pong.wait();
       }
       run.virt_us_per_msg = (comm.wtime_us() - start) / (2.0 * count);
       run.poller_wakeups = poller_wakeups(session) - run.poller_wakeups;
     } else {
-      Request ping = comm.irecv(in.data(), 64, Datatype::byte(), peer, 0);
+      Request ping = comm.irecv(in.data(), bytes, Datatype::byte(), peer, 0);
       for (int i = 0; i < total; ++i) {
-        if (i == warmup) preempted_at = preemptions_of_this_thread();
+        if (i == warmup) at = Switches::of_this_thread();
         ping.wait();
         if (i + 1 < total) {
-          ping = comm.irecv(in.data(), 64, Datatype::byte(), peer, i + 1);
+          ping = comm.irecv(in.data(), bytes, Datatype::byte(), peer, i + 1);
         }
-        comm.send(out.data(), 64, Datatype::byte(), peer, i);
+        comm.send(out.data(), bytes, Datatype::byte(), peer, i);
       }
     }
-    preemptions += preemptions_of_this_thread() - preempted_at;
+    const Switches now = Switches::of_this_thread();
+    preemptions += now.preemptions - at.preemptions;
+    voluntary += now.voluntary - at.voluntary;
   });
   run.rank_preemptions = preemptions.load();
+  run.rank_voluntary_switches = voluntary.load();
   return run;
 }
 
@@ -108,6 +122,37 @@ TEST(InPlaceProgress, SisciPingPongWakesNoPollerThread) {
   // thread did: the per-message time is the one the poller-thread design
   // produced.
   EXPECT_DOUBLE_EQ(run.virt_us_per_msg, 20.862648757104662);
+}
+
+TEST(InPlaceProgress, SisciRendezvousRunsOnTheSendingThread) {
+  // 32 KiB is above SISCI's 8 KiB switch point: every message is a
+  // REQUEST / OK_TO_SEND / DATA handshake. The sender claims the waiting
+  // receiver's source, runs the match, then its own node's source for the
+  // acknowledgement, then the receiver's again for the data: the whole
+  // handshake runs on the sending thread.
+  constexpr int kCount = 500;
+  Session session(pair_options(sim::Protocol::kSisci));
+  const PingPongRun run = pre_posted_pingpong(session, 50, kCount, 32 * 1024);
+  if (marcel::engine_kind_from_env() == marcel::EngineKind::kThreaded) {
+    // The one wake left per message is the receiver's completion. A rank
+    // preempted between its send and its wait leaves its node uncovered
+    // for the peer's next REQUEST, which then costs a poller wake and a
+    // switch or two more.
+    // Even unpreempted, the woken peer rarely reaches its send before the
+    // signalling rank reaches its wait, and a contended mutex costs a
+    // switch: allow 1% of the messages for each.
+    constexpr long kMessages = 2 * kCount;
+    EXPECT_LE(run.rank_voluntary_switches,
+              kMessages + kMessages / 50 + 2 * run.rank_preemptions)
+        << run.rank_preemptions << " rank preemptions";
+    EXPECT_LE(run.poller_wakeups,
+              static_cast<std::uint64_t>(kMessages / 100 +
+                                         run.rank_preemptions))
+        << run.rank_preemptions << " rank preemptions";
+  }
+  // Claimed sources run on their own lanes: the per-message time is the
+  // one the poller threads produced.
+  EXPECT_DOUBLE_EQ(run.virt_us_per_msg, 408.60974964485206);
 }
 
 TEST(InPlaceProgress, TcpPairStillWakesItsPollerThread) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -129,6 +132,65 @@ TEST(PollServer, MultiplePollersRunConcurrently) {
   release = true;
   server.join();
   EXPECT_EQ(peak.load(), 3);
+}
+
+TEST(PollServer, BodyThatBlocksHandsItsClaimBackAndLosesNoFrame) {
+  // Two cheap sources of one node. Each frame the first one handles sends
+  // two frames to the second, which the delivering thread claims (the
+  // node is its own), then waits until the second source has handled
+  // both. The wait must hand the claim back: the claimed token would
+  // otherwise stay taken by a thread that sleeps until the body behind
+  // it runs.
+  constexpr int kFrames = 50;
+  sim::Node node(0, "n", 2);
+  sim::Port first_port;
+  sim::Port second_port;
+  Semaphore handled(node, 0);
+  std::atomic<int> second_frames{0};
+  std::atomic<int> claims_seen{0};
+  std::atomic<int> first_frames{0};
+  {
+    PollServer server(node);
+    server.add_source(1, 0.1, &first_port, [&] {
+      if (!first_port.try_take()) return PollServer::Step::kIdle;
+      second_port.deliver(sim::Frame{});
+      second_port.deliver(sim::Frame{});
+      if (PollServer::holds_claims()) ++claims_seen;
+      handled.wait();
+      handled.wait();
+      ++first_frames;
+      return PollServer::Step::kHandled;
+    });
+    server.add_source(2, 0.1, &second_port, [&] {
+      if (!second_port.try_take()) return PollServer::Step::kIdle;
+      ++second_frames;
+      handled.signal();
+      return PollServer::Step::kHandled;
+    });
+    for (int i = 0; i < kFrames; ++i) first_port.deliver(sim::Frame{});
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (first_frames.load() < kFrames &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (first_frames.load() < kFrames) {
+      // A stranded claim deadlocks both poller threads: report it instead
+      // of hanging in join().
+      std::fprintf(stderr, "stuck after %d of %d frames\n",
+                   first_frames.load(), kFrames);
+      std::abort();
+    }
+    first_port.close();
+    second_port.close();
+    server.join();
+  }
+  EXPECT_EQ(first_frames.load(), kFrames);
+  EXPECT_EQ(second_frames.load(), 2 * kFrames);
+  // The first body claimed the second source at least once before it
+  // waited (later frames may find the second poller still holding it).
+  EXPECT_GE(claims_seen.load(), 1);
+  EXPECT_FALSE(PollServer::holds_claims());
 }
 
 // ------------------------------------------------------------- TaskPool

@@ -184,13 +184,15 @@ TEST(P2P, IssendNonBlocking) {
     if (comm.rank() == 0) {
       int value = 3;
       auto request = comm.issend(&value, 1, Datatype::int32(), 1, 2);
-      EXPECT_FALSE(request.test());  // peer has not posted yet
-      int unblock = 0;
-      comm.recv(&unblock, 1, Datatype::int32(), 1, 9);
+      // The peer posts its tag-2 receive only once the go message below
+      // reaches it, so the synchronous send cannot have completed yet.
+      EXPECT_FALSE(request.test());
+      int go = 1;
+      comm.send(&go, 1, Datatype::int32(), 1, 9);
       request.wait();
     } else {
-      int unblock = 1;
-      comm.send(&unblock, 1, Datatype::int32(), 0, 9);
+      int go = 0;
+      comm.recv(&go, 1, Datatype::int32(), 0, 9);
       int value = 0;
       comm.recv(&value, 1, Datatype::int32(), 0, 2);
       EXPECT_EQ(value, 3);
