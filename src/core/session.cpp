@@ -1,5 +1,7 @@
 #include "core/session.hpp"
 
+#include <sched.h>
+
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +11,7 @@
 
 #include "common/log.hpp"
 #include "marcel/engine.hpp"
+#include "marcel/poll_server.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/fault.hpp"
 #include "sim/sched.hpp"
@@ -369,7 +372,20 @@ void Session::run(const std::function<void(mpi::Comm)>& rank_main) {
     body = &tuned_body;
   }
   const std::function<void(mpi::Comm)>& main_fn = *body;
-  if (marcel::engine_kind_from_env() == marcel::EngineKind::kSharded) {
+  const bool sharded =
+      marcel::engine_kind_from_env() == marcel::EngineKind::kSharded;
+  // A blocked rank thread spins before it sleeps only while every rank
+  // thread can have a CPU of its own; fibers park either way.
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  const bool spin = !sharded && sched_getaffinity(0, sizeof cpus, &cpus) == 0 &&
+                    world_size() <= CPU_COUNT(&cpus);
+  for (std::size_t n = 0; n < cluster().nodes.size(); ++n) {
+    if (auto* progress = fabric_.node(static_cast<node_id_t>(n)).progress()) {
+      progress->set_spin_waits(spin);
+    }
+  }
+  if (sharded) {
     // Scale-out engine: rank fibers on a sharded worker pool. Capture each
     // rank's causal birth time serially before any fiber runs, so lane
     // creation order (and with it the seeded replay) is independent of

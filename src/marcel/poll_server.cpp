@@ -75,6 +75,7 @@ struct PollServer::Source final : sim::Doorbell {
 
 thread_local PollServer::Source* PollServer::t_running_ = nullptr;
 thread_local PollServer::Claims PollServer::t_claims_;
+thread_local PollServer::SpinHistory PollServer::t_waits_;
 
 PollServer::PollServer(sim::Node& node) : node_(node) {
   node_.attach_progress(this);
@@ -87,7 +88,19 @@ PollServer::~PollServer() {
 
 bool PollServer::in_source() { return t_running_ != nullptr; }
 
-PollServer::ClaimScope::ClaimScope(sim::Node& node) : open_(!on_fiber()) {
+PollServer::ClaimScope::ClaimScope(sim::Node& node)
+    : ClaimScope(node, Draining{}) {
+  // Only the outermost scope is the thread's own send; a nested one sends
+  // for the body the thread runs.
+  PollServer* server = node.progress();
+  if (open_ && t_claims_.depth == 1 && server != nullptr &&
+      !server->sent_.load(std::memory_order_relaxed)) {
+    server->sent_.store(true, std::memory_order_release);
+  }
+}
+
+PollServer::ClaimScope::ClaimScope(sim::Node& node, Draining)
+    : open_(!on_fiber()) {
   if (!open_) return;
   Claims& claims = t_claims_;
   if (claims.depth++ == 0) claims.node = &node;
@@ -188,8 +201,15 @@ void PollServer::join() {
 }
 
 void PollServer::add_cover(Cover* cover) {
-  std::lock_guard<std::mutex> lock(cover_mutex_);
-  covers_.push_back(cover);
+  {
+    std::lock_guard<std::mutex> lock(cover_mutex_);
+    covers_.push_back(cover);
+  }
+  // The node is covered for real now; a sender elsewhere on it that has
+  // not reached its wait yet is no longer accounted for.
+  if (sent_.load(std::memory_order_relaxed)) {
+    sent_.store(false, std::memory_order_relaxed);
+  }
 }
 
 void PollServer::remove_cover(Cover* cover) {
@@ -198,6 +218,7 @@ void PollServer::remove_cover(Cover* cover) {
 }
 
 bool PollServer::covered() {
+  if (sent_.load(std::memory_order_acquire)) return true;
   std::lock_guard<std::mutex> lock(cover_mutex_);
   return !covers_.empty();
 }
@@ -236,7 +257,7 @@ void PollServer::drain_cheap() {
 }
 
 void PollServer::drain(Source& source) {
-  ClaimScope scope(node_);
+  ClaimScope scope(node_, ClaimScope::Draining{});
   if (!source.done.load(std::memory_order_acquire) &&
       !source.busy.exchange(true, std::memory_order_acquire)) {
     run_token(source);

@@ -29,11 +29,26 @@
 //  - Every source keeps one poller thread. It drains the source when the
 //    doorbell finds nobody covering and no claimer, and always for
 //    expensive sources.
+//  - A covering thread spins before it sleeps: the paper's idle CPU polls
+//    rather than parks. It re-checks its permit for up to kSpinBudget of
+//    host time, about one sleep/wake round trip, and only then sleeps on
+//    its condition variable. Two gates keep the spin where it saves more
+//    than it burns: the session's rank threads must fit the process's
+//    CPUs (set_spin_waits, set by Session::run), and the thread's recent
+//    waits must have ended within the budget (SpinHistory). Spinning
+//    charges no virtual time: a drain charges only the messages it
+//    handles, on the source's own lanes.
 // A frame is never stranded: whoever releases a token re-checks the port
 // and drains again if a frame arrived meanwhile, since the ring for that
 // frame may have gone to a thread that could not take the token. A thread
 // about to block inside a body first hands its unrun claims back
 // (hand_back_claims), so no token waits on a thread that sleeps.
+// A node also counts as covered for claims from the moment one of its
+// threads opens a sending ClaimScope until a thread of the node next
+// starts a covering wait: a rank that has just sent is usually on its way
+// to its wait, and a spinning peer's reply must not find the node bare
+// and wake the poller thread in that gap. Claiming is always safe, so
+// this estimate may err; waking a cover still needs a real one.
 //
 // Each source is also declared on the node so concurrent pollers
 // interfere: handling a message on channel X is delayed by the other
@@ -42,12 +57,18 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "common/datapath_stats.hpp"
 #include "common/status.hpp"
@@ -87,25 +108,48 @@ class PollServer {
   /// Called by a source's body once it has a message.
   usec_t charge_wakeup(channel_id_t channel);
 
+  using HostClock = std::chrono::steady_clock;
+
+  /// How long a covering thread spins before it sleeps. A condition
+  /// variable sleep/wake round trip between two threads takes about 14 us
+  /// of host time on a 4-vCPU VM, so a peer that itself sleeps answers an
+  /// eager message in roughly that; the budget has to cover it, or both
+  /// sides latch into sleeping (a 10 us budget did).
+  static constexpr HostClock::duration kSpinBudget =
+      std::chrono::microseconds(20);
+
   /// Wait on `cv` under `lock` until `ready()`, draining the node's cheap
-  /// sources in place meanwhile (see the header comment).
+  /// sources in place meanwhile and spinning first when the gates allow
+  /// (see the header comment). `released` is the host time at which the
+  /// releaser last made `ready()` true, guarded by `lock`.
   template <typename Pred>
   void wait_covering(std::unique_lock<std::mutex>& lock,
-                     std::condition_variable& cv, Pred ready) {
+                     std::condition_variable& cv, Pred ready,
+                     const HostClock::time_point& released) {
     Cover self{lock.mutex(), &cv};
     lock.unlock();
     add_cover(&self);
     drain_cheap();
     lock.lock();
-    while (!ready()) {
-      if (!self.rung) {
-        cv.wait(lock);
-        continue;
+    if (!ready()) {
+      const bool may_spin = spin_waits_.load(std::memory_order_relaxed);
+      const HostClock::time_point entry =
+          may_spin ? HostClock::now() : HostClock::time_point{};
+      bool spinning = may_spin && t_waits_.spin();
+      if (spinning) spun_waits_.fetch_add(1, std::memory_order_relaxed);
+      while (!ready()) {
+        if (self.rung) {
+          self.rung = false;
+          lock.unlock();
+          drain_cheap();
+          lock.lock();
+        } else if (spinning) {
+          spinning = relax(lock, entry + kSpinBudget);
+        } else {
+          cv.wait(lock);
+        }
       }
-      self.rung = false;
-      lock.unlock();
-      drain_cheap();
-      lock.lock();
+      if (may_spin) t_waits_.record(released - entry > kSpinBudget);
     }
     lock.unlock();
     // A ring that came in after the permit was rung here, not at the next
@@ -117,6 +161,13 @@ class PollServer {
     cv.wait(lock, ready);
   }
 
+  /// Let blocked threads of this node spin before they sleep. Worth it
+  /// only while every rank thread has a CPU of its own: a spinner that
+  /// shares its CPU delays the very thread it waits for.
+  void set_spin_waits(bool on) {
+    spin_waits_.store(on, std::memory_order_relaxed);
+  }
+
   /// True while the calling thread runs a source's body. A wait inside a
   /// body must not drain sources: the thread holds a token already.
   static bool in_source();
@@ -125,7 +176,8 @@ class PollServer {
   /// frames to (see the header comment); a no-op on a fiber. `node` is the
   /// thread's own node, fixed by the outermost scope. Open one only where
   /// the thread holds no locks: the outermost scope runs the claims when
-  /// it closes.
+  /// it closes. A scope opened here is a sending one: it covers `node`
+  /// for claims until a thread of `node` next waits.
   class ClaimScope {
    public:
     explicit ClaimScope(sim::Node& node);
@@ -134,6 +186,11 @@ class PollServer {
     ClaimScope& operator=(const ClaimScope&) = delete;
 
    private:
+    friend class PollServer;
+    struct Draining {};
+    // A drain's scope: claims, but covers nothing.
+    ClaimScope(sim::Node& node, Draining);
+
     bool open_;
   };
 
@@ -152,6 +209,12 @@ class PollServer {
   /// draining in place did not save.
   std::uint64_t thread_wakeups() const {
     return thread_wakeups_.load(std::memory_order_relaxed);
+  }
+
+  /// Waits of this node's threads that spun before they slept or
+  /// returned.
+  std::uint64_t spun_waits() const {
+    return spun_waits_.load(std::memory_order_relaxed);
   }
 
   /// Mark the teardown drain: wakeups from here on are session shutdown
@@ -183,6 +246,40 @@ class PollServer {
     std::vector<Source*> sources;
   };
 
+  /// The calling thread's last 16 waits, newest in the low bit: a bit is
+  /// set when the wait outlasted kSpinBudget, measured from its start to
+  /// the releaser's stamp, so a sleeper's own wake latency does not count.
+  /// A thread spins only while at most one recent wait missed: waits near
+  /// the budget (a rendezvous peer filling its data) hit now and then but
+  /// would mostly spin in vain, and a mean of their lengths dips below
+  /// the budget often enough to let them. A new thread starts as if all
+  /// its waits had missed, so it earns its spin with 15 short waits and a
+  /// session's first messages, its set-up, sleep as before.
+  struct SpinHistory {
+    std::uint16_t misses = 0xffff;
+    bool spin() const { return std::popcount(misses) <= 1; }
+    void record(bool missed) {
+      misses = static_cast<std::uint16_t>(misses << 1 | (missed ? 1 : 0));
+    }
+  };
+
+  /// Let go of `lock`, pause the CPU briefly and take `lock` back without
+  /// sleeping on it. False once `deadline` has passed.
+  static bool relax(std::unique_lock<std::mutex>& lock,
+                    HostClock::time_point deadline) {
+    lock.unlock();
+    bool before = true;
+    do {
+      for (int i = 0; i < 8; ++i) {
+#if defined(__x86_64__) || defined(__i386__)
+        _mm_pause();
+#endif
+      }
+      before = HostClock::now() < deadline;
+    } while (!lock.try_lock());
+    return before;
+  }
+
   void add_cover(Cover* cover);
   void remove_cover(Cover* cover);
   bool covered();
@@ -204,6 +301,7 @@ class PollServer {
   // The source the calling thread is running, if any.
   static thread_local Source* t_running_;
   static thread_local Claims t_claims_;
+  static thread_local SpinHistory t_waits_;
 
   sim::Node& node_;
   std::vector<std::unique_ptr<Source>> sources_;
@@ -212,16 +310,23 @@ class PollServer {
   std::atomic<Source*> cheap_head_{nullptr};
   std::mutex cover_mutex_;
   std::vector<Cover*> covers_;  // guarded by cover_mutex_
+  // A thread of this node opened a sending ClaimScope and no thread of it
+  // has started a covering wait since.
+  std::atomic<bool> sent_{false};
+  std::atomic<bool> spin_waits_{false};
   std::atomic<std::uint64_t> thread_wakeups_{0};
+  std::atomic<std::uint64_t> spun_waits_{0};
   std::atomic<bool> draining_{false};
 };
 
 /// Condition-variable wait for a thread of `node`: parks on a fiber,
 /// drains the node's cheap sources in place on any other thread that is
-/// not already running a source, and otherwise waits plainly.
+/// not already running a source, and otherwise waits plainly. `released`
+/// is as for PollServer::wait_covering.
 template <typename Pred>
 void progress_wait(sim::Node& node, std::unique_lock<std::mutex>& lock,
-                   std::condition_variable& cv, Pred ready) {
+                   std::condition_variable& cv, Pred ready,
+                   const PollServer::HostClock::time_point& released) {
   if (ready()) return;
   if (PollServer::in_source()) {
     lock.unlock();
@@ -235,7 +340,7 @@ void progress_wait(sim::Node& node, std::unique_lock<std::mutex>& lock,
     engine_wait(lock, cv, ready);
     return;
   }
-  progress->wait_covering(lock, cv, ready);
+  progress->wait_covering(lock, cv, ready, released);
 }
 
 }  // namespace madmpi::marcel

@@ -11,7 +11,10 @@
 // A blocked OS thread does not just sleep: it covers its node and drains
 // the node's cheap poll sources in place (marcel/poll_server.hpp), so the
 // message it waits for usually completes on the waiter itself, with no
-// poller thread woken in between. A fiber parks instead.
+// poller thread woken in between. When its session's rank threads fit the
+// CPUs and its recent waits were short, it spins for up to one sleep/wake
+// round trip before it sleeps, so a quick peer's V() costs no wake at all;
+// V() stamps its host time for that estimate. A fiber parks instead.
 #pragma once
 
 #include <condition_variable>
@@ -47,6 +50,7 @@ class Semaphore {
       std::lock_guard<std::mutex> lock(mutex_);
       ++count_;
       release_times_.push_back(at);
+      released_ = PollServer::HostClock::now();
       available_.notify_one();
     }
     engine_notify();
@@ -55,12 +59,13 @@ class Semaphore {
   /// P: wait for a release; wake at max(own clock, releaser clock) + wake
   /// cost. On a fiber this parks the continuation instead of blocking the
   /// shard worker; on an OS thread it drains the node's cheap poll sources
-  /// while it waits.
+  /// while it waits, spinning first where that pays.
   void wait() {
     usec_t released_at;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      progress_wait(node_, lock, available_, [this] { return count_ > 0; });
+      progress_wait(node_, lock, available_, [this] { return count_ > 0; },
+                    released_);
       --count_;
       released_at = release_times_.front();
       release_times_.pop_front();
@@ -90,6 +95,9 @@ class Semaphore {
   std::condition_variable available_;
   int count_;
   std::deque<usec_t> release_times_;
+  // Host time of the last V(): how long a wait really waited, for the
+  // spin-before-sleep estimate (not virtual time).
+  PollServer::HostClock::time_point released_;
 };
 
 }  // namespace madmpi::marcel

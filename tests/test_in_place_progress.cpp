@@ -4,11 +4,17 @@
 // rendezvous with one rank wake per message, at unchanged virtual time;
 // TCP keeps its poller thread; and no frame is stranded when waiters come
 // and go while frames arrive on cheap and expensive channels at once.
+// A blocked rank spins before it sleeps only while the rank threads fit
+// the CPUs and its waits are short.
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <sys/resource.h>
+#include <time.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "core/session.hpp"
@@ -33,6 +39,10 @@ std::uint64_t poller_wakeups(Session& session) {
          session.ch_mad()->poll_server(1).thread_wakeups();
 }
 
+std::uint64_t spun_waits(Session& session, node_id_t node) {
+  return session.ch_mad()->poll_server(node).spun_waits();
+}
+
 /// Context switches of the calling thread so far.
 struct Switches {
   long voluntary = 0;
@@ -45,19 +55,31 @@ struct Switches {
   }
 };
 
+/// CPU time the calling thread has used so far.
+std::chrono::nanoseconds thread_cpu_time() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return std::chrono::seconds(now.tv_sec) + std::chrono::nanoseconds(now.tv_nsec);
+}
+
 struct PingPongRun {
   double virt_us_per_msg = 0.0;   // rank 0's one-way virtual time
   std::uint64_t poller_wakeups = 0;
   long rank_preemptions = 0;      // both rank threads, timed part
   long rank_voluntary_switches = 0;
+  // Rank 0's thread over the timed part: CPU used and host time passed.
+  std::chrono::nanoseconds rank0_cpu{0};
+  std::chrono::nanoseconds rank0_wall{0};
 };
 
 /// `warmup + count` ping-pongs of `bytes` from rank 0, every receive
 /// posted before its message can arrive, so no message takes the
 /// unexpected path and the virtual time is exact. Only the last `count`
-/// are measured.
-PingPongRun pre_posted_pingpong(Session& session, int warmup, int count,
-                                int bytes = 64) {
+/// are measured. Rank 1 sleeps `echo_delay` of host time before each
+/// reply.
+PingPongRun pre_posted_pingpong(
+    Session& session, int warmup, int count, int bytes = 64,
+    std::chrono::microseconds echo_delay = std::chrono::microseconds(0)) {
   PingPongRun run;
   std::atomic<long> preemptions{0};
   std::atomic<long> voluntary{0};
@@ -69,17 +91,23 @@ PingPongRun pre_posted_pingpong(Session& session, int warmup, int count,
     Switches at;
     if (comm.rank() == 0) {
       usec_t start = 0.0;
+      auto cpu_start = thread_cpu_time();
+      auto wall_start = std::chrono::steady_clock::now();
       for (int i = 0; i < total; ++i) {
         if (i == warmup) {
           run.poller_wakeups = poller_wakeups(session);
           at = Switches::of_this_thread();
           start = comm.wtime_us();
+          cpu_start = thread_cpu_time();
+          wall_start = std::chrono::steady_clock::now();
         }
         Request pong =
             comm.irecv(in.data(), bytes, Datatype::byte(), peer, i);
         comm.send(out.data(), bytes, Datatype::byte(), peer, i);
         pong.wait();
       }
+      run.rank0_cpu = thread_cpu_time() - cpu_start;
+      run.rank0_wall = std::chrono::steady_clock::now() - wall_start;
       run.virt_us_per_msg = (comm.wtime_us() - start) / (2.0 * count);
       run.poller_wakeups = poller_wakeups(session) - run.poller_wakeups;
     } else {
@@ -90,6 +118,7 @@ PingPongRun pre_posted_pingpong(Session& session, int warmup, int count,
         if (i + 1 < total) {
           ping = comm.irecv(in.data(), bytes, Datatype::byte(), peer, i + 1);
         }
+        if (echo_delay.count() > 0) std::this_thread::sleep_for(echo_delay);
         comm.send(out.data(), bytes, Datatype::byte(), peer, i);
       }
     }
@@ -122,6 +151,91 @@ TEST(InPlaceProgress, SisciPingPongWakesNoPollerThread) {
   // thread did: the per-message time is the one the poller-thread design
   // produced.
   EXPECT_DOUBLE_EQ(run.virt_us_per_msg, 20.862648757104662);
+}
+
+/// Narrows the calling thread's CPU affinity to one CPU; restores it.
+class OneCpu {
+ public:
+  OneCpu() {
+    CPU_ZERO(&saved_);
+    sched_getaffinity(0, sizeof saved_, &saved_);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    sched_setaffinity(0, sizeof one, &one);
+  }
+  ~OneCpu() { sched_setaffinity(0, sizeof saved_, &saved_); }
+  OneCpu(const OneCpu&) = delete;
+  OneCpu& operator=(const OneCpu&) = delete;
+
+ private:
+  cpu_set_t saved_;
+};
+
+int allowed_cpus() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  sched_getaffinity(0, sizeof cpus, &cpus);
+  return CPU_COUNT(&cpus);
+}
+
+TEST(InPlaceProgress, SisciPingPongSpinsInsteadOfSleeping) {
+  if (marcel::engine_kind_from_env() != marcel::EngineKind::kThreaded) {
+    GTEST_SKIP() << "fibers park; only rank OS threads spin";
+  }
+  if (allowed_cpus() < 2) GTEST_SKIP() << "two rank threads need two CPUs";
+  constexpr int kCount = 1000;
+  Session session(pair_options(sim::Protocol::kSisci));
+  const PingPongRun run = pre_posted_pingpong(session, 100, kCount);
+  // Each rank spins until its peer's reply lands, so a message costs no
+  // sleep. A preempted peer makes the waiter's spin run out: it sleeps
+  // once, and the preempted thread may switch once more.
+  constexpr long kMessages = 2 * kCount;
+  EXPECT_LE(run.rank_voluntary_switches,
+            kMessages / 10 + 2 * run.rank_preemptions)
+      << run.rank_preemptions << " rank preemptions";
+  // Spinning charges nothing: the per-message time is the sleeping
+  // design's.
+  EXPECT_DOUBLE_EQ(run.virt_us_per_msg, 20.862648757104662);
+}
+
+TEST(InPlaceProgress, RanksSleepWhenTheyShareACpu) {
+  if (marcel::engine_kind_from_env() != marcel::EngineKind::kThreaded) {
+    GTEST_SKIP() << "fibers park; only rank OS threads spin";
+  }
+  // Two rank threads on one CPU: a spinner would hold the CPU its peer
+  // needs, so each wait sleeps at once, about once per message.
+  constexpr int kCount = 1000;
+  const OneCpu narrowed;
+  Session session(pair_options(sim::Protocol::kSisci));
+  const PingPongRun run = pre_posted_pingpong(session, 100, kCount);
+  constexpr long kMessages = 2 * kCount;
+  EXPECT_GE(run.rank_voluntary_switches, kMessages * 9 / 10)
+      << run.rank_preemptions << " rank preemptions";
+  EXPECT_EQ(spun_waits(session, 0) + spun_waits(session, 1), 0u);
+  EXPECT_DOUBLE_EQ(run.virt_us_per_msg, 20.862648757104662);
+}
+
+TEST(InPlaceProgress, LongWaitsSleepInsteadOfSpinning) {
+  if (marcel::engine_kind_from_env() != marcel::EngineKind::kThreaded) {
+    GTEST_SKIP() << "fibers park; only rank OS threads spin";
+  }
+  if (allowed_cpus() < 2) GTEST_SKIP() << "two rank threads need two CPUs";
+  // The echo side holds each reply for 500 us of host time, far beyond
+  // the spin budget: rank 0 never sees the short waits that would let it
+  // spin, so each wait sleeps at once and its thread uses little CPU.
+  Session session(pair_options(sim::Protocol::kSisci));
+  const PingPongRun run = pre_posted_pingpong(
+      session, 10, 200, 64, std::chrono::microseconds(500));
+  EXPECT_LT(run.rank0_cpu.count(), run.rank0_wall.count() / 10)
+      << "rank 0 used " << run.rank0_cpu.count() << " ns of CPU in "
+      << run.rank0_wall.count() << " ns";
+  EXPECT_EQ(spun_waits(session, 0), 0u);
 }
 
 TEST(InPlaceProgress, SisciRendezvousRunsOnTheSendingThread) {
