@@ -177,6 +177,15 @@ class OneCpu {
   cpu_set_t saved_;
 };
 
+// A sanitizer slows every message several times over: eager waits then
+// outlast the spin budget, and a thread's own work its CPU bound, so the
+// host-timing tests below measure the sanitizer instead.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
 int allowed_cpus() {
   cpu_set_t cpus;
   CPU_ZERO(&cpus);
@@ -189,6 +198,7 @@ TEST(InPlaceProgress, SisciPingPongSpinsInsteadOfSleeping) {
     GTEST_SKIP() << "fibers park; only rank OS threads spin";
   }
   if (allowed_cpus() < 2) GTEST_SKIP() << "two rank threads need two CPUs";
+  if (kSanitized) GTEST_SKIP() << "host timing under a sanitizer";
   constexpr int kCount = 1000;
   Session session(pair_options(sim::Protocol::kSisci));
   const PingPongRun run = pre_posted_pingpong(session, 100, kCount);
@@ -226,6 +236,7 @@ TEST(InPlaceProgress, LongWaitsSleepInsteadOfSpinning) {
     GTEST_SKIP() << "fibers park; only rank OS threads spin";
   }
   if (allowed_cpus() < 2) GTEST_SKIP() << "two rank threads need two CPUs";
+  if (kSanitized) GTEST_SKIP() << "host timing under a sanitizer";
   // The echo side holds each reply for 500 us of host time, far beyond
   // the spin budget: rank 0 never sees the short waits that would let it
   // spin, so each wait sleeps at once and its thread uses little CPU.
