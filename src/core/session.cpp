@@ -375,11 +375,12 @@ void Session::run(const std::function<void(mpi::Comm)>& rank_main) {
   const bool sharded =
       marcel::engine_kind_from_env() == marcel::EngineKind::kSharded;
   // A blocked rank thread spins before it sleeps only while every rank
-  // thread can have a CPU of its own; fibers park either way.
+  // thread can have a CPU of its own and one CPU is left for the nodes'
+  // poller threads and the watchdog; fibers park either way.
   cpu_set_t cpus;
   CPU_ZERO(&cpus);
   const bool spin = !sharded && sched_getaffinity(0, sizeof cpus, &cpus) == 0 &&
-                    world_size() <= CPU_COUNT(&cpus);
+                    world_size() < CPU_COUNT(&cpus);
   for (std::size_t n = 0; n < cluster().nodes.size(); ++n) {
     if (auto* progress = fabric_.node(static_cast<node_id_t>(n)).progress()) {
       progress->set_spin_waits(spin);

@@ -91,9 +91,11 @@ bool PollServer::in_source() { return t_running_ != nullptr; }
 PollServer::ClaimScope::ClaimScope(sim::Node& node)
     : ClaimScope(node, Draining{}) {
   // Only the outermost scope is the thread's own send; a nested one sends
-  // for the body the thread runs.
+  // for the body the thread runs. The cover goes with spinning, so a
+  // session that does not spin claims exactly as it did before spinning.
   PollServer* server = node.progress();
   if (open_ && t_claims_.depth == 1 && server != nullptr &&
+      server->spin_waits_.load(std::memory_order_relaxed) &&
       !server->sent_.load(std::memory_order_relaxed)) {
     server->sent_.store(true, std::memory_order_release);
   }

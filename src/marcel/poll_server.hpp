@@ -34,21 +34,24 @@
 //    host time, about one sleep/wake round trip, and only then sleeps on
 //    its condition variable. Two gates keep the spin where it saves more
 //    than it burns: the session's rank threads must fit the process's
-//    CPUs (set_spin_waits, set by Session::run), and the thread's recent
-//    waits must have ended within the budget (SpinHistory). Spinning
-//    charges no virtual time: a drain charges only the messages it
-//    handles, on the source's own lanes.
+//    CPUs with one to spare for the poller threads (set_spin_waits, set
+//    by Session::run), and the thread's recent waits must have ended
+//    within the budget (SpinHistory). Spinning charges no virtual time:
+//    a drain charges only the messages it handles, on the source's own
+//    lanes.
 // A frame is never stranded: whoever releases a token re-checks the port
 // and drains again if a frame arrived meanwhile, since the ring for that
 // frame may have gone to a thread that could not take the token. A thread
 // about to block inside a body first hands its unrun claims back
 // (hand_back_claims), so no token waits on a thread that sleeps.
-// A node also counts as covered for claims from the moment one of its
-// threads opens a sending ClaimScope until a thread of the node next
-// starts a covering wait: a rank that has just sent is usually on its way
-// to its wait, and a spinning peer's reply must not find the node bare
-// and wake the poller thread in that gap. Claiming is always safe, so
-// this estimate may err; waking a cover still needs a real one.
+// While its threads may spin, a node also counts as covered for claims
+// from the moment one of its threads opens a sending ClaimScope until a
+// thread of the node next starts a covering wait: a rank that has just
+// sent is usually on its way to its wait, and a spinning peer's reply
+// must not find the node bare and wake the poller thread in that gap.
+// Claiming is always safe, so this estimate may err; waking a cover
+// still needs a real one. Where spinning is off this cover is off too,
+// and claims run exactly as they would with no spin support at all.
 //
 // Each source is also declared on the node so concurrent pollers
 // interfere: handling a message on channel X is delayed by the other
@@ -162,8 +165,10 @@ class PollServer {
   }
 
   /// Let blocked threads of this node spin before they sleep. Worth it
-  /// only while every rank thread has a CPU of its own: a spinner that
-  /// shares its CPU delays the very thread it waits for.
+  /// only while every rank thread has a CPU of its own and one is left
+  /// over: a spinner that shares its CPU delays the very thread it waits
+  /// for, be it the peer rank or a poller thread. Also turns on the
+  /// sending scope's cover (see the header comment).
   void set_spin_waits(bool on) {
     spin_waits_.store(on, std::memory_order_relaxed);
   }
@@ -176,8 +181,9 @@ class PollServer {
   /// frames to (see the header comment); a no-op on a fiber. `node` is the
   /// thread's own node, fixed by the outermost scope. Open one only where
   /// the thread holds no locks: the outermost scope runs the claims when
-  /// it closes. A scope opened here is a sending one: it covers `node`
-  /// for claims until a thread of `node` next waits.
+  /// it closes. A scope opened here is a sending one: while `node`'s
+  /// threads may spin, it covers `node` for claims until a thread of
+  /// `node` next waits.
   class ClaimScope {
    public:
     explicit ClaimScope(sim::Node& node);
@@ -310,8 +316,8 @@ class PollServer {
   std::atomic<Source*> cheap_head_{nullptr};
   std::mutex cover_mutex_;
   std::vector<Cover*> covers_;  // guarded by cover_mutex_
-  // A thread of this node opened a sending ClaimScope and no thread of it
-  // has started a covering wait since.
+  // Spinning is on, a thread of this node opened a sending ClaimScope and
+  // no thread of it has started a covering wait since.
   std::atomic<bool> sent_{false};
   std::atomic<bool> spin_waits_{false};
   std::atomic<std::uint64_t> thread_wakeups_{0};

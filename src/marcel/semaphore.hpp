@@ -12,9 +12,10 @@
 // the node's cheap poll sources in place (marcel/poll_server.hpp), so the
 // message it waits for usually completes on the waiter itself, with no
 // poller thread woken in between. When its session's rank threads fit the
-// CPUs and its recent waits were short, it spins for up to one sleep/wake
-// round trip before it sleeps, so a quick peer's V() costs no wake at all;
-// V() stamps its host time for that estimate. A fiber parks instead.
+// CPUs with one to spare and its recent waits were short, it spins for up
+// to one sleep/wake round trip before it sleeps, so a quick peer's V()
+// costs no wake at all; V() stamps its host time for that estimate. A
+// fiber parks instead.
 #pragma once
 
 #include <condition_variable>

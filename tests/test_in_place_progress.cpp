@@ -197,7 +197,9 @@ TEST(InPlaceProgress, SisciPingPongSpinsInsteadOfSleeping) {
   if (marcel::engine_kind_from_env() != marcel::EngineKind::kThreaded) {
     GTEST_SKIP() << "fibers park; only rank OS threads spin";
   }
-  if (allowed_cpus() < 2) GTEST_SKIP() << "two rank threads need two CPUs";
+  if (allowed_cpus() < 3) {
+    GTEST_SKIP() << "two rank threads spin only with a third CPU to spare";
+  }
   if (kSanitized) GTEST_SKIP() << "host timing under a sanitizer";
   constexpr int kCount = 1000;
   Session session(pair_options(sim::Protocol::kSisci));
@@ -235,7 +237,9 @@ TEST(InPlaceProgress, LongWaitsSleepInsteadOfSpinning) {
   if (marcel::engine_kind_from_env() != marcel::EngineKind::kThreaded) {
     GTEST_SKIP() << "fibers park; only rank OS threads spin";
   }
-  if (allowed_cpus() < 2) GTEST_SKIP() << "two rank threads need two CPUs";
+  if (allowed_cpus() < 3) {
+    GTEST_SKIP() << "two rank threads spin only with a third CPU to spare";
+  }
   if (kSanitized) GTEST_SKIP() << "host timing under a sanitizer";
   // The echo side holds each reply for 500 us of host time, far beyond
   // the spin budget: rank 0 never sees the short waits that would let it
